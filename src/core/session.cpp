@@ -540,22 +540,29 @@ RunResult VerificationSession::apply(const MutationBatch& batch) {
       obs::maybe_emit(journal_.get(),
                       obs::JournalEventKind::kRepairDeclined, "session",
                       {{"ops", static_cast<std::int64_t>(batch.size())}});
+      repair.clear();
     }
   }
+  RunResult result = run_engine();
   if (!repaired) {
-    PhaseScope scope(telemetry_.get(), "session.reprove", hist_reprove_);
-    repair.clear();
-    reprove(&repair);
-    spot_note_repair(repair);
-    if (forensics_ && !repair.empty()) {
-      note_repair(stats_.batches, "reprove", repair);
+    if (!result.all_accept) {
+      // The held proof stopped verifying: only now is the prover needed.
+      {
+        PhaseScope scope(telemetry_.get(), "session.reprove", hist_reprove_);
+        reprove(&repair);
+        spot_note_repair(repair);
+        if (forensics_ && !repair.empty()) {
+          note_repair(stats_.batches, "reprove", repair);
+        }
+      }
+      // An empty diff (failed prove) left the state, and so the exact
+      // REJECT, as it was.
+      if (!repair.empty()) result = run_engine();
+    } else if (maintainer_ != nullptr) {
+      // The held proof still verifies; rebind a maintainer that declined
+      // to it, as reprove() would have to a fresh one.
+      bound_ = maintainer_->bind(graph_, proof_);
     }
-  }
-  ++stats_.verifies;
-  RunResult result;
-  {
-    PhaseScope scope(telemetry_.get(), "session.verify", hist_verify_);
-    result = engine_->run(graph_, proof_, scheme_->verifier());
   }
   sync_spot_stats();
   finish_verdict(batch, repair, pre_graph ? &*pre_graph : nullptr,
@@ -563,11 +570,15 @@ RunResult VerificationSession::apply(const MutationBatch& batch) {
   return result;
 }
 
-RunResult VerificationSession::verify() {
-  const ApplyScope apply_guard(*this);
+RunResult VerificationSession::run_engine() {
   ++stats_.verifies;
   PhaseScope scope(telemetry_.get(), "session.verify", hist_verify_);
-  RunResult result = engine_->run(graph_, proof_, scheme_->verifier());
+  return engine_->run(graph_, proof_, scheme_->verifier());
+}
+
+RunResult VerificationSession::verify() {
+  const ApplyScope apply_guard(*this);
+  RunResult result = run_engine();
   sync_spot_stats();
   // Keep the flip baseline honest for out-of-band verify() calls; no
   // capture here — there is no offending batch to report.

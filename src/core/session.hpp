@@ -22,8 +22,9 @@
 // const Scheme& the caller keeps alive, or an owned unique_ptr.
 // maintain(true) resolves the right ProofMaintainer through the registry —
 // including a ComposedMaintainer for conjunctions — and apply() then runs
-// mutation -> certificate repair -> dirty-ball re-verification, falling
-// back to a full reprove through the scheme when the maintainer declines.
+// mutation -> certificate repair -> dirty-ball re-verification.  When no
+// maintainer repaired the batch, the held proof is verified as it stands
+// and the scheme's prover runs only if that verdict rejects.
 // Soundness is never delegated: the verdict always comes from the
 // scheme's verifier over the current assignment, so a buggy repair can
 // only cost performance, never a wrong accept.
@@ -76,10 +77,13 @@ struct SessionStats {
   std::uint64_t batches = 0;       ///< apply() calls
   std::uint64_t repaired = 0;      ///< batches healed by the maintainer
   std::uint64_t declined = 0;      ///< maintainer declines
-  std::uint64_t reproves = 0;      ///< full prover invocations
+  /// Full prover invocations.  The prover runs only after the held proof
+  /// was rejected (a proof that every node accepts already certifies the
+  /// configuration, Section 2.1), so accepting batches never count here.
+  std::uint64_t reproves = 0;
   std::uint64_t failed_proves = 0; ///< reproves on no-instances (stale kept)
   std::uint64_t repair_ops = 0;    ///< total ops across all repair batches
-  std::uint64_t verifies = 0;      ///< engine runs (apply + verify)
+  std::uint64_t verifies = 0;      ///< engine runs (apply, reprove, verify)
 
   // Spot-check error accounting, mirrored from the engine after every run
   // (all zero on exact backends): how many dirty balls were verified vs
@@ -233,8 +237,23 @@ class VerificationSession {
   VerificationSession(const VerificationSession&) = delete;
   VerificationSession& operator=(const VerificationSession&) = delete;
 
-  /// Applies the batch through the tracker, repairs (or reproves) the
-  /// certificate assignment, and returns the verification verdict.
+  /// Applies the batch through the tracker, lets a bound maintainer
+  /// repair the certificate assignment, and returns the verification
+  /// verdict.
+  ///
+  /// Without a repair, the held proof is verified first and the scheme's
+  /// full prover runs only if that verdict rejects; the fresh proof's diff
+  /// then goes through the tracker and the engine runs once more.  This
+  /// is sound and loses nothing: by Section 2.1 a proof every node
+  /// accepts already certifies the property, and the paper's provers are
+  /// complete, so re-proving an accepted configuration could only change
+  /// proof bits, never the verdict.  A failed prove (a no-instance) keeps
+  /// the stale proof and its REJECT.  Only the final verdict reaches the
+  /// journal and forensics; a held proof's rejection that the prover heals
+  /// is not a verdict flip.  On the spot-check tier the first verdict is a
+  /// sampled ACCEPT or an escalated exact REJECT, so re-proving follows
+  /// only an exact REJECT.  A maintainer that declined earlier is rebound
+  /// to the held proof whenever that proof still verifies.
   ///
   /// Concurrency contract (relied on by the session server): a session
   /// is a single-caller object — at most one thread may be inside
@@ -246,8 +265,10 @@ class VerificationSession {
   RunResult apply(const MutationBatch& batch);
 
   /// Verifies the current state without mutating (cheap on the
-  /// incremental backend: the unchanged-state fast path).  Same
-  /// concurrency contract as apply().
+  /// incremental backend: the unchanged-state fast path).  It never
+  /// re-proves: if a spot-check ACCEPT skipped a ball the held proof
+  /// fails, an audit here reports that exact REJECT; only an apply()
+  /// whose run rejects re-proves.  Same concurrency contract as apply().
   RunResult verify();
 
   const Graph& graph() const { return graph_; }
@@ -299,6 +320,8 @@ class VerificationSession {
   /// Full-prover fallback; when `applied_diff` is non-null it receives
   /// the proof diff that was applied (empty on a failed prove).
   void reprove(MutationBatch* applied_diff);
+  /// One instrumented engine run over the current pair.
+  RunResult run_engine();
   void note_repair(std::uint64_t batch_index, std::string source,
                    const MutationBatch& repair);
   /// Feeds the repair's touched nodes to the spot-check engine (repair

@@ -14,8 +14,8 @@
 // follow-up rounds until the traffic quiesces.  Components that fight over
 // the same labels (two matching maintainers on one bit) fail to quiesce
 // within the round cap and the whole batch is declined — the session then
-// falls back to a full reprove, so convergence games can only cost
-// performance, never a wrong verdict.
+// verifies the held proof and re-proves if it is rejected, so convergence
+// games can only cost performance, never a wrong verdict.
 //
 // Relay contract: relayed ops reach sibling maintainers *before* the
 // shared graph reflects them (the session applies the combined repair
@@ -26,7 +26,7 @@
 // reads op values + its pending set).  Node-label repairs are declined
 // outright — maintainers legitimately re-read node labels from the graph
 // (leader tracking), where a stale read could break completeness
-// silently; declining costs one reprove instead.
+// silently; declining costs at most one reprove instead.
 //
 // The decline contract matches the component maintainers': any out-of-band
 // edit of the composed proof (a kProofLabel op in the applied batch)

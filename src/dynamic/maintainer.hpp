@@ -21,8 +21,8 @@
 //     repaired or stale, is rejected somewhere — the verifier does not
 //     trust the maintainer.
 // A maintainer that cannot (or does not want to) repair a batch declines;
-// DynamicPipeline (dynamic/pipeline.hpp) then falls back to a full
-// reprove through the scheme and rebinds.
+// the session (core/session.hpp) then verifies the held proof, re-proves
+// through the scheme only if that proof is rejected, and rebinds.
 #ifndef LCP_DYNAMIC_MAINTAINER_HPP_
 #define LCP_DYNAMIC_MAINTAINER_HPP_
 
@@ -59,7 +59,8 @@ class ProofMaintainer {
   /// whose solution lives in the input labelling, set_edge_label /
   /// set_node_label).  `g` and `p` are the post-batch, pre-repair state.
   /// Returns false to decline the batch; the shadow state is then stale
-  /// and the caller must reprove and bind() again before the next repair.
+  /// and the caller must bind() again (to the held proof if it still
+  /// verifies, else to a fresh one) before the next repair.
   virtual bool repair(const Graph& g, const Proof& p,
                       const MutationBatch& applied, MutationBatch* out) = 0;
 

@@ -19,7 +19,8 @@
 // incremental engine — total cost O(|delta| + |dirty balls|) instead of
 // the O(n) reprove + O(n) full sweep of the static pipeline.  When the
 // maintainer declines a batch (or no maintainer is bound), the session
-// falls back to a full reprove through the scheme and tries to rebind.
+// verifies the held proof as it stands and re-proves through the scheme
+// only if that proof is rejected; either way it tries to rebind.
 //
 // Soundness is never delegated: the engine's verdict is computed by the
 // scheme's own verifier over whatever assignment is current, so a buggy
@@ -49,7 +50,8 @@ class DynamicPipeline {
   /// Takes ownership of the graph, proves the initial certificate through
   /// the scheme (a no-instance starts with an empty proof and a rejecting
   /// verdict), and binds the maintainer.  `scheme` must outlive the
-  /// pipeline; `maintainer` may be null (every batch then reproves).
+  /// pipeline; `maintainer` may be null (every batch then verifies the
+  /// held proof, and the scheme re-proves only when it is rejected).
   ///
   /// The engine's per-run state fingerprint check defaults OFF here: the
   /// session owns the pair and routes every mutation (user batches and
@@ -82,8 +84,9 @@ class DynamicPipeline {
   DynamicPipeline(const DynamicPipeline&) = delete;
   DynamicPipeline& operator=(const DynamicPipeline&) = delete;
 
-  /// Applies the batch, repairs (or reproves) the certificate assignment,
-  /// and returns the incremental verification verdict.
+  /// Applies the batch, repairs the certificate assignment (or, without
+  /// a repair, re-proves only if the held proof is rejected), and returns
+  /// the incremental verification verdict.
   RunResult apply(const MutationBatch& batch) { return session_.apply(batch); }
 
   /// Re-verifies the current state without mutating (cheap: the engine's

@@ -114,8 +114,8 @@ Journal::Ring* Journal::ring_for_current_thread() {
       return static_cast<Ring*>(entry.ring);
     }
   }
-  // Slow path: find (or create) this thread's ring under the registry
-  // lock, then cache it.
+  // Slow path: find this thread's ring under the registry lock, then
+  // cache it.
   const std::thread::id self = std::this_thread::get_id();
   Ring* ring = nullptr;
   {
@@ -126,14 +126,20 @@ Journal::Ring* Journal::ring_for_current_thread() {
         break;
       }
     }
-    if (ring == nullptr) {
-      auto fresh = std::make_unique<Ring>();
-      fresh->owner = self;
-      fresh->tid = static_cast<int>(rings_.size());
-      fresh->slots.reserve(std::min<std::size_t>(capacity_, 64));
-      ring = fresh.get();
-      rings_.push_back(std::move(fresh));
-    }
+  }
+  if (ring == nullptr) {
+    // Only this thread creates its own ring, so it can be built outside
+    // the lock: an allocation that stalls (glibc consolidating an arena
+    // that a torn-down server left full of freed chunks took 150 ms) then
+    // stalls this thread only, not every other thread's first emit.  The
+    // ring gets its whole capacity now, so emit() never reallocates.
+    auto fresh = std::make_unique<Ring>();
+    fresh->owner = self;
+    fresh->slots.reserve(capacity_);
+    const std::lock_guard<std::mutex> lock(rings_mutex_);
+    fresh->tid = static_cast<int>(rings_.size());
+    ring = fresh.get();
+    rings_.push_back(std::move(fresh));
   }
   // Evict round-robin by seq of use: shift down, insert at front.
   for (std::size_t i = kRingCacheSlots - 1; i > 0; --i) {

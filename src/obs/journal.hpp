@@ -42,7 +42,7 @@ namespace lcp::obs {
 enum class JournalEventKind : std::uint8_t {
   kBatchApplied,    ///< a MutationBatch went through the tracker
   kRepairEmitted,   ///< a maintainer healed the batch
-  kRepairDeclined,  ///< a maintainer gave up; reprove follows
+  kRepairDeclined,  ///< a maintainer gave up; reprove if the proof rejects
   kReprove,         ///< full prover fallback (diff ops applied)
   kPatchFallback,   ///< cached views re-extracted instead of patched
   kHaloExchange,    ///< sharded ghost fringe (re)built
@@ -87,7 +87,8 @@ struct JournalEvent {
 class Journal {
  public:
   /// `per_thread_capacity` bounds each thread's ring (events beyond it
-  /// overwrite the oldest).
+  /// overwrite the oldest).  A thread's ring is allocated at that
+  /// capacity on its first emit (about 416 KiB at the default).
   explicit Journal(std::size_t per_thread_capacity = 4096);
   ~Journal();
 

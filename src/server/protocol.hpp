@@ -262,7 +262,7 @@ struct StatsReply {
   std::uint64_t batches = 0;
   std::uint64_t repaired = 0;
   std::uint64_t declined = 0;
-  std::uint64_t reproves = 0;
+  std::uint64_t reproves = 0;     ///< prover runs after a held proof rejected
   std::uint64_t verifies = 0;
   std::uint64_t spot_sampled = 0;
   std::uint64_t spot_skipped = 0;

@@ -13,8 +13,8 @@
 //   - Coalescing: when a lane picks a session up, it drains everything
 //     queued so far into ONE concatenated MutationBatch and calls
 //     apply() once.  All drained tickets share that apply's verdict, so
-//     the dirty-set BFS, repair dispatch, and (for maintainer-less
-//     schemes) the full reprove are paid once per coalesced group
+//     the dirty-set BFS, repair dispatch, and (when the held proof is
+//     rejected) the full reprove are paid once per coalesced group
 //     instead of once per client batch.  Batch concatenation preserves
 //     per-client recording order, so the final state, fingerprint, and
 //     verdict are bit-identical to applying the same batches one at a

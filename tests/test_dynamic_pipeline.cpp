@@ -262,12 +262,15 @@ TEST(MatchingMaintainer, HealsOutOfBandBitEdit) {
 
 // -------------------------------------------------- pipeline without one --
 
-TEST(DynamicPipeline, NullMaintainerReprovesEveryBatch) {
+TEST(DynamicPipeline, NullMaintainerReprovesOnlyAfterRejection) {
   static const schemes::LeaderElectionScheme scheme;
   Graph g = gen::cycle(8);
   g.set_label(0, schemes::kLeaderFlag);
   DynamicPipeline pipe(std::move(g), scheme, nullptr);
   EXPECT_FALSE(pipe.maintainer_bound());
+  const Proof initial = pipe.proof();
+  // Each batch removes and re-adds an edge: the held proof still verifies,
+  // so the prover never runs and the proof bits stay as they were.
   for (int i = 0; i < 3; ++i) {
     MutationBatch batch;
     batch.remove_edge(i, i + 1);
@@ -276,7 +279,17 @@ TEST(DynamicPipeline, NullMaintainerReprovesEveryBatch) {
     EXPECT_TRUE(r.all_accept);
     expect_matches_direct(pipe, r);
   }
-  EXPECT_EQ(pipe.stats().reproves, 3u);
+  EXPECT_EQ(pipe.stats().reproves, 0u);
+  EXPECT_EQ(pipe.proof().labels, initial.labels);
+
+  // An out-of-band tamper makes the held proof reject: exactly one
+  // reprove heals it and the batch still accepts.
+  MutationBatch tamper;
+  tamper.set_proof_label(2, BitString::from_string("1011"));
+  const RunResult r = pipe.apply(tamper);
+  EXPECT_TRUE(r.all_accept);
+  expect_matches_direct(pipe, r);
+  EXPECT_EQ(pipe.stats().reproves, 1u);
   EXPECT_EQ(pipe.stats().repaired, 0u);
 }
 
