@@ -100,20 +100,34 @@ VerificationSession::Builder& VerificationSession::Builder::scheme(
 VerificationSession::Builder& VerificationSession::Builder::engine(
     EngineKind kind) {
   kind_ = kind;
+  switch (kind) {
+    case EngineKind::kDirect: engine_spec_ = "direct"; break;
+    case EngineKind::kMessagePassing: engine_spec_ = "message-passing"; break;
+    case EngineKind::kParallel: engine_spec_ = "parallel"; break;
+    case EngineKind::kIncremental: engine_spec_ = "incremental"; break;
+    case EngineKind::kSharded: engine_spec_ = "sharded"; break;
+    case EngineKind::kSpotCheck: engine_spec_ = "spotcheck"; break;
+  }
   return *this;
 }
 
 VerificationSession::Builder& VerificationSession::Builder::engine(
     std::string_view backend) {
-  if (backend == "direct") return engine(EngineKind::kDirect);
+  // Reports name the backend as spelled ("sharded:4"), not just its kind.
+  const auto chosen = [&](EngineKind kind) -> Builder& {
+    engine(kind);
+    engine_spec_ = std::string(backend);
+    return *this;
+  };
+  if (backend == "direct") return chosen(EngineKind::kDirect);
   if (backend == "message-passing") {
-    return engine(EngineKind::kMessagePassing);
+    return chosen(EngineKind::kMessagePassing);
   }
-  if (backend == "parallel") return engine(EngineKind::kParallel);
-  if (backend == "incremental") return engine(EngineKind::kIncremental);
+  if (backend == "parallel") return chosen(EngineKind::kParallel);
+  if (backend == "incremental") return chosen(EngineKind::kIncremental);
   if (backend == "sharded" || backend.rfind("sharded:", 0) == 0) {
     sharded_options_ = parse_sharded_spec(backend);
-    return engine(EngineKind::kSharded);
+    return chosen(EngineKind::kSharded);
   }
   if (backend == "spotcheck" || backend.rfind("spotcheck:", 0) == 0) {
     // Validate eagerly so a typo throws here, not at build(); the spec
@@ -121,7 +135,7 @@ VerificationSession::Builder& VerificationSession::Builder::engine(
     // depends on builder state (engine_options, store) not yet final.
     parse_spotcheck_spec(backend);
     spotcheck_spec_ = std::string(backend);
-    return engine(EngineKind::kSpotCheck);
+    return chosen(EngineKind::kSpotCheck);
   }
   throw std::invalid_argument("VerificationSession: unknown backend '" +
                               std::string(backend) + "'");
@@ -309,14 +323,7 @@ VerificationSession::VerificationSession(Builder&& b)
     }
   }
 
-  switch (b.kind_) {
-    case EngineKind::kDirect: engine_name_ = "direct"; break;
-    case EngineKind::kMessagePassing: engine_name_ = "message-passing"; break;
-    case EngineKind::kParallel: engine_name_ = "parallel"; break;
-    case EngineKind::kIncremental: engine_name_ = "incremental"; break;
-    case EngineKind::kSharded: engine_name_ = "sharded"; break;
-    case EngineKind::kSpotCheck: engine_name_ = "spotcheck"; break;
-  }
+  engine_name_ = std::move(b.engine_spec_);
 
   auto initial = scheme_->prove(graph_);
   proof_ = initial.has_value() ? std::move(*initial)

@@ -218,6 +218,7 @@ class VerificationSession {
     std::unique_ptr<dynamic::ProofMaintainer> maintainer_;
     IncrementalEngineOptions incremental_options_{.verify_state = false};
     ShardedEngineOptions sharded_options_;
+    std::string engine_spec_ = "incremental";  // as given to engine()
     std::string spotcheck_spec_ = "spotcheck";
     std::optional<SpotCheckOptions> spotcheck_options_;
     const SchemeRegistry* registry_ = nullptr;
@@ -285,8 +286,10 @@ class VerificationSession {
   dynamic::ProofMaintainer* maintainer() { return maintainer_.get(); }
   bool maintainer_bound() const { return bound_; }
   const SessionStats& stats() const { return stats_; }
-  /// The make_engine spelling the session was built with ("incremental",
-  /// "sharded:4", ...), for reports and server stats.
+  /// The make_engine spelling the session was built with, exactly as
+  /// given to Builder::engine ("incremental", "sharded:4",
+  /// "spotcheck:0.01:direct", ...); the kind's bare name ("sharded") when
+  /// it was chosen by EngineKind.  For reports and server stats.
   const std::string& engine_name() const { return engine_name_; }
 
   /// The attached telemetry bundle, nullptr when disabled.  The registry

@@ -64,6 +64,14 @@ SpotCheckEngine::SpotCheckEngine(std::unique_ptr<ExecutionEngine> inner,
     throw std::invalid_argument(
         "SpotCheckEngine: budget must be in [0, 1]");
   }
+  // A zero weight would read as "not pooled" in the sum tree.
+  for (const double w : {options_.reextract_weight, options_.repair_weight,
+                         options_.flip_weight}) {
+    if (!(w > 0.0) || !std::isfinite(w)) {
+      throw std::invalid_argument(
+          "SpotCheckEngine: weight multipliers must be positive and finite");
+    }
+  }
   rng_.state = options_.seed;
 }
 
@@ -75,7 +83,7 @@ bool SpotCheckEngine::attach_tracker(DeltaTracker* tracker) {
   tracker_ = tracker;
   inner_->attach_tracker(tracker);
   // New clock, new pool: outstanding entries describe the old log.
-  pool_.clear();
+  clear_pool();
   baseline_valid_ = false;
   consumed_generation_ = tracker != nullptr ? tracker->generation() : 0;
   refresh_stats_bounds();
@@ -120,22 +128,136 @@ void SpotCheckEngine::attach_journal(obs::Journal* journal) {
 }
 
 void SpotCheckEngine::note_repair(const std::vector<int>& touched) {
-  if (touched.empty()) return;
-  if (repair_epoch_ == 0) ++repair_epoch_;
-  std::size_t need = 0;
   for (int v : touched) {
-    if (v >= 0) need = std::max(need, static_cast<std::size_t>(v) + 1);
-  }
-  if (repair_mark_.size() < need) repair_mark_.resize(need, 0);
-  for (int v : touched) {
-    if (v >= 0) repair_mark_[static_cast<std::size_t>(v)] = repair_epoch_;
+    if (v < 0) continue;
+    const std::size_t vi = static_cast<std::size_t>(v);
+    if (repair_mark_.size() <= vi) repair_mark_.resize(vi + 1, 0);
+    if (repair_mark_[vi] == repair_epoch_) continue;
+    repair_mark_[vi] = repair_epoch_;
+    repair_list_.push_back(v);
   }
 }
 
+void SpotCheckEngine::reserve_nodes(std::size_t n) {
+  if (mark_.size() < n) {
+    mark_.resize(n, 0);
+    fresh_slot_.resize(n, 0);
+    bfs_depth_.resize(n, 0);
+    bfs_mark_.resize(n, 0);
+    cohort_of_.resize(n, 0);
+  }
+  if (n <= leaves_ && leaves_ > 0) return;
+  // Node growth: widen the tree to the next power of two and rebuild its
+  // internal sums from the (unchanged) leaves.  Each old internal node
+  // pairs the same leaves as before, so the sums — and hence the draws —
+  // are bit-identical to a tree built at the larger size from the start.
+  std::size_t leaves = 1;
+  while (leaves < n) leaves *= 2;
+  std::vector<double> tree(2 * leaves, 0.0);
+  for (std::size_t c = 0; c < leaves_; ++c) {
+    tree[leaves + c] = tree_[leaves_ + c];
+  }
+  for (std::size_t i = leaves - 1; i >= 1; --i) {
+    tree[i] = tree[2 * i] + tree[2 * i + 1];
+  }
+  tree_ = std::move(tree);
+  leaves_ = leaves;
+}
+
+void SpotCheckEngine::set_leaf(int c, double w) {
+  std::size_t i = leaves_ + static_cast<std::size_t>(c);
+  tree_[i] = w;
+  for (i /= 2; i >= 1; i /= 2) tree_[i] = tree_[2 * i] + tree_[2 * i + 1];
+}
+
+void SpotCheckEngine::place(int c, double w, int cohort) {
+  if (pooled(c)) remove(c);
+  ++pool_count_;
+  set_leaf(c, w);
+  ++weight_count_[w];
+  cohort_of_[static_cast<std::size_t>(c)] = cohort;
+  ++cohorts_[static_cast<std::size_t>(cohort)].members;
+}
+
+void SpotCheckEngine::remove(int c) {
+  const std::size_t ci = static_cast<std::size_t>(c);
+  const auto it = weight_count_.find(tree_[leaves_ + ci]);
+  if (--it->second == 0) weight_count_.erase(it);
+  --cohorts_[static_cast<std::size_t>(cohort_of_[ci])].members;
+  --pool_count_;
+  set_leaf(c, 0.0);
+}
+
+void SpotCheckEngine::clear_pool() {
+  if (pool_count_ > 0) {
+    // Only non-empty subtrees hold non-zero sums, so this touches the
+    // pooled leaves and their ancestors and nothing else.
+    bfs_queue_.assign(1, 1);
+    while (!bfs_queue_.empty()) {
+      const std::size_t i = static_cast<std::size_t>(bfs_queue_.back());
+      bfs_queue_.pop_back();
+      tree_[i] = 0.0;
+      if (i >= leaves_) continue;
+      if (tree_[2 * i] != 0.0) bfs_queue_.push_back(static_cast<int>(2 * i));
+      if (tree_[2 * i + 1] != 0.0) {
+        bfs_queue_.push_back(static_cast<int>(2 * i + 1));
+      }
+    }
+  }
+  pool_count_ = 0;
+  weight_count_.clear();
+  cohorts_.clear();
+  live_cohorts_.clear();
+  free_cohorts_.clear();
+}
+
+int SpotCheckEngine::new_cohort(double miss, double weight) {
+  int id;
+  if (!free_cohorts_.empty()) {
+    id = free_cohorts_.back();
+    free_cohorts_.pop_back();
+  } else {
+    id = static_cast<int>(cohorts_.size());
+    cohorts_.emplace_back();
+  }
+  cohorts_[static_cast<std::size_t>(id)] = Cohort{miss, weight, 0};
+  live_cohorts_.push_back(id);
+  return id;
+}
+
+int SpotCheckEngine::descend(double u) const {
+  // Left when u falls in the left span — or when the right subtree is
+  // empty, so rounding in u or in the sums can never reach a zero leaf.
+  // Every node entered has a positive sum: the root because the pool is
+  // non-empty, a left child because u < its sum or its sibling is empty,
+  // a right child by the test itself.
+  std::size_t i = 1;
+  while (i < leaves_) {
+    const double left = tree_[2 * i];
+    if (u < left || tree_[2 * i + 1] == 0.0) {
+      i = 2 * i;
+    } else {
+      u -= left;
+      i = 2 * i + 1;
+    }
+  }
+  return static_cast<int>(i - leaves_);
+}
+
 void SpotCheckEngine::refresh_stats_bounds() {
-  stats_.pool_size = pool_.size();
+  stats_.pool_size = pool_count_;
   double worst = 0.0;
-  for (const PoolEntry& e : pool_) worst = std::max(worst, e.miss);
+  std::size_t out = 0;
+  for (const int id : live_cohorts_) {
+    const Cohort& cohort = cohorts_[static_cast<std::size_t>(id)];
+    if (cohort.members == 0) {
+      free_cohorts_.push_back(id);
+      continue;
+    }
+    worst = std::max(worst, cohort.miss);
+    live_cohorts_[out++] = id;
+  }
+  live_cohorts_.resize(out);
   stats_.miss_bound = worst;
 }
 
@@ -149,7 +271,7 @@ RunResult SpotCheckEngine::exact_run(const Graph& g, const Proof& p,
   baseline_all_accept_ = result.all_accept;
   baseline_rejecting_ = result.rejecting;
   // Everything outstanding has just been verified exactly.
-  pool_.clear();
+  clear_pool();
   last_sample_.clear();
   if (tracker_ != nullptr) consumed_generation_ = tracker_->generation();
   if (!result.all_accept) {
@@ -171,31 +293,28 @@ void SpotCheckEngine::absorb_records(
     const Graph& g, int radius,
     const std::vector<const DirtyRecord*>& records) {
   const std::size_t n = static_cast<std::size_t>(g.n());
-  if (mark_.size() < n) mark_.resize(n, 0);
-  if (fresh_slot_.size() < n) fresh_slot_.resize(n, 0);
+  reserve_nodes(n);
   ++mark_epoch_;
 
   // Newly dirty centres this absorption, with their base weights.  A
   // centre can arrive through several channels; the strongest weight wins.
-  std::vector<PoolEntry> fresh;
+  fresh_.clear();
   auto touch = [&](int c, double weight) {
     const std::size_t ci = static_cast<std::size_t>(c);
     if (mark_[ci] == mark_epoch_) {
-      PoolEntry& e = fresh[fresh_slot_[ci]];
+      FreshEntry& e = fresh_[fresh_slot_[ci]];
       e.weight = std::max(e.weight, weight);
       return;
     }
     mark_[ci] = mark_epoch_;
-    fresh_slot_[ci] = fresh.size();
-    fresh.push_back(PoolEntry{c, weight, 1.0});
+    fresh_slot_[ci] = fresh_.size();
+    fresh_.push_back(FreshEntry{c, weight});
   };
 
   // Label/proof epicentres affect exactly the centres whose current ball
   // contains them; for undirected graphs that set is ball(u, radius) on
   // the current graph.  Structural dirt arrives pre-expanded by the
   // tracker's stepwise BFS (covering pre- and post-states).
-  if (bfs_depth_.size() < n) bfs_depth_.resize(n, 0);
-  if (bfs_mark_.size() < n) bfs_mark_.resize(n, 0);
   auto expand = [&](int u, double weight) {
     ++bfs_epoch_;
     bfs_queue_.clear();
@@ -232,58 +351,73 @@ void SpotCheckEngine::absorb_records(
       if (u >= 0 && static_cast<std::size_t>(u) < n) expand(u, 1.0);
     }
   }
+
   // History boosts.  The repair boost covers centres already sitting in
   // the pool as well as centres entering it now — note_repair's contract
-  // — and is one-shot: the set described the repairs since the last run,
-  // so consuming it here retires it even when no fresh dirt arrived.
-  if (repair_epoch_ != 0) {
-    const auto repair_boost = [&](PoolEntry& e) {
-      const std::size_t c = static_cast<std::size_t>(e.center);
-      if (c < repair_mark_.size() && repair_mark_[c] == repair_epoch_) {
-        e.weight *= options_.repair_weight;
+  // — and is one-shot: the list described the repairs since the last run,
+  // so consuming it here retires it even when no fresh dirt arrived.  A
+  // sitting centre keeps its miss bound under the new weight, so the
+  // boosted members of one cohort move together to one new cohort.  A
+  // sitting centre that is also fresh is boosted at the merge below.
+  const auto repaired = [&](int c) {
+    const std::size_t ci = static_cast<std::size_t>(c);
+    return ci < repair_mark_.size() && repair_mark_[ci] == repair_epoch_;
+  };
+  for (const int c : repair_list_) {
+    if (static_cast<std::size_t>(c) >= n) continue;
+    const std::size_t ci = static_cast<std::size_t>(c);
+    if (mark_[ci] == mark_epoch_) {
+      fresh_[fresh_slot_[ci]].weight *= options_.repair_weight;
+    } else if (pooled(c)) {
+      const std::size_t from = static_cast<std::size_t>(cohort_of_[ci]);
+      if (boosted_cohort_.size() < cohorts_.size()) {
+        boosted_cohort_.resize(cohorts_.size(), {0, 0});
       }
-    };
-    for (PoolEntry& e : pool_) repair_boost(e);
-    for (PoolEntry& e : fresh) repair_boost(e);
-    ++repair_epoch_;
+      if (boosted_cohort_[from].first != mark_epoch_) {
+        const Cohort& old = cohorts_[from];
+        boosted_cohort_[from] = {
+            mark_epoch_,
+            new_cohort(old.miss, old.weight * options_.repair_weight)};
+      }
+      const int to = boosted_cohort_[from].second;
+      place(c, cohorts_[static_cast<std::size_t>(to)].weight, to);
+    }
   }
-  if (fresh.empty()) return;
 
-  for (PoolEntry& e : fresh) {
+  // Merge.  A re-dirtied centre keeps one entry: strongest weight, miss
+  // reset to 1 — it is dirty again *now*, and the bound must cover a
+  // tamper planted by the newest batch.
+  fresh_cohorts_.clear();
+  for (FreshEntry& e : fresh_) {
     const std::size_t c = static_cast<std::size_t>(e.center);
     if (flip_epoch_ != 0 && c < flip_mark_.size() &&
         flip_mark_[c] == flip_epoch_) {
       e.weight *= options_.flip_weight;
     }
-  }
-
-  std::sort(fresh.begin(), fresh.end(),
-            [](const PoolEntry& x, const PoolEntry& y) {
-              return x.center < y.center;
-            });
-
-  // Merge into the (sorted) pool.  A re-dirtied centre keeps one entry:
-  // strongest weight, miss reset to 1 — it is dirty again *now*, and the
-  // bound must cover a tamper planted by the newest batch.
-  std::vector<PoolEntry> merged;
-  merged.reserve(pool_.size() + fresh.size());
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < pool_.size() && j < fresh.size()) {
-    if (pool_[i].center < fresh[j].center) {
-      merged.push_back(pool_[i++]);
-    } else if (fresh[j].center < pool_[i].center) {
-      merged.push_back(fresh[j++]);
-    } else {
-      PoolEntry e = fresh[j++];
-      e.weight = std::max(e.weight, pool_[i].weight);
-      ++i;
-      merged.push_back(e);
+    double weight = e.weight;
+    if (pooled(e.center)) {
+      double sitting = tree_[leaves_ + c];
+      if (repaired(e.center)) sitting *= options_.repair_weight;
+      weight = std::max(weight, sitting);
     }
+    int cohort = -1;
+    for (const auto& [w, id] : fresh_cohorts_) {
+      if (w == weight) {
+        cohort = id;
+        break;
+      }
+    }
+    if (cohort < 0) {
+      cohort = new_cohort(1.0, weight);
+      fresh_cohorts_.emplace_back(weight, cohort);
+    }
+    place(e.center, weight, cohort);
   }
-  while (i < pool_.size()) merged.push_back(pool_[i++]);
-  while (j < fresh.size()) merged.push_back(fresh[j++]);
-  pool_ = std::move(merged);
+
+  if (!repair_list_.empty()) {
+    repair_list_.clear();
+    ++repair_epoch_;
+  }
 }
 
 RunResult SpotCheckEngine::run(const Graph& g, const Proof& p,
@@ -311,7 +445,7 @@ RunResult SpotCheckEngine::run(const Graph& g, const Proof& p,
     obs::maybe_emit(
         journal_, obs::JournalEventKind::kSpotEscalate, "engine.spotcheck",
         {{"audit", 1},
-         {"pool", static_cast<std::int64_t>(pool_.size())},
+         {"pool", static_cast<std::int64_t>(pool_count_)},
          {"generation",
           static_cast<std::int64_t>(
               tracker_ != nullptr ? tracker_->generation() : 0)}});
@@ -344,7 +478,7 @@ RunResult SpotCheckEngine::run(const Graph& g, const Proof& p,
   consumed_generation_ = tracker_->generation();
   last_sample_.clear();
 
-  if (pool_.empty()) {
+  if (pool_count_ == 0) {
     ++stats_.unchanged_runs;
     refresh_stats_bounds();
     RunResult result;
@@ -355,7 +489,7 @@ RunResult SpotCheckEngine::run(const Graph& g, const Proof& p,
   }
 
   // Sample size from the budget; budget == 1 verifies the whole pool.
-  const std::size_t pool_size = pool_.size();
+  const std::size_t pool_size = pool_count_;
   std::size_t k = options_.budget >= 1.0
                       ? pool_size
                       : static_cast<std::size_t>(std::ceil(
@@ -364,31 +498,29 @@ RunResult SpotCheckEngine::run(const Graph& g, const Proof& p,
   k = std::max<std::size_t>(k, 1);
   k = std::min(k, pool_size);
 
-  // Efraimidis–Spirakis A-Res over the pool in ascending-centre order:
-  // key_i = u_i^(1/w_i), take the k largest.  One rng draw per entry, so
-  // the stream advances identically across inner backends.
-  keys_.resize(pool_size);
-  order_.resize(pool_size);
-  for (std::size_t i = 0; i < pool_size; ++i) {
-    const double u = rng_.next_unit();
-    keys_[i] = std::pow(u, 1.0 / pool_[i].weight);
-    order_[i] = static_cast<int>(i);
-  }
-  std::nth_element(order_.begin(), order_.begin() + (k - 1), order_.end(),
-                   [&](int x, int y) {
-                     if (keys_[x] != keys_[y]) return keys_[x] > keys_[y];
-                     return pool_[static_cast<std::size_t>(x)].center <
-                            pool_[static_cast<std::size_t>(y)].center;
-                   });
+  // The decay below needs the pool as it was before the draws.
+  const double total_weight = tree_[1];
+  const double min_weight = weight_count_.begin()->first;
+  const double max_weight = weight_count_.rbegin()->first;
+
+  // k successive weighted draws without replacement: each takes one rng
+  // value, descends the sum tree to a still-pooled centre, and removes
+  // it, so the stream advances identically across inner backends.
   last_sample_.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
-    last_sample_.push_back(
-        pool_[static_cast<std::size_t>(order_[i])].center);
+    const int c = descend(rng_.next_unit() * tree_[1]);
+    remove(c);
+    last_sample_.push_back(c);
   }
   std::sort(last_sample_.begin(), last_sample_.end());
 
   // Verify the sampled balls exactly against the current state.
-  extractor_.bind(g);
+  if (extractor_graph_ != &g ||
+      extractor_n_ != static_cast<std::size_t>(g.n())) {
+    extractor_.bind(g);
+    extractor_graph_ = &g;
+    extractor_n_ = static_cast<std::size_t>(g.n());
+  }
   std::vector<int> sampled_rejecting;
   for (int c : last_sample_) {
     const View view = extractor_.extract(p, c, a.radius());
@@ -420,54 +552,40 @@ RunResult SpotCheckEngine::run(const Graph& g, const Proof& p,
     return result;
   }
 
-  // All sampled balls accept: remove them from the pool and decay each
+  // All sampled balls accept and have left the pool.  Decay each
   // survivor's miss bound by a provable lower bound on its inclusion
   // probability this run.  On a uniformly weighted pool inclusion is
   // exactly k/|pool|.  On a boosted pool an unboosted entry's inclusion
   // probability can fall BELOW k/|pool| (the boosted entries absorb the
   // budget), so the uniform factor would understate the miss; instead
-  // use (1 - w_i/W)^k, sound because taking the k largest Efraimidis–
-  // Spirakis keys is distributed as k successive weighted draws without
-  // replacement and each draw picks a still-unsampled entry with
-  // conditional probability w_i/W_remaining >= w_i/W.  Inclusion
-  // probabilities are monotone in weight and sum to k, so a maximum-
-  // weight entry's is >= k/|pool|: its factor is additionally capped by
-  // the uniform one.
-  double total_weight = 0.0;
-  double min_weight = pool_.front().weight;
-  double max_weight = pool_.front().weight;
-  for (const PoolEntry& e : pool_) {
-    total_weight += e.weight;
-    min_weight = std::min(min_weight, e.weight);
-    max_weight = std::max(max_weight, e.weight);
-  }
+  // use (1 - w_i/W)^k, sound because each of the k draws picks a
+  // still-unsampled entry with conditional probability
+  // w_i/W_remaining >= w_i/W.  Inclusion probabilities are monotone in
+  // weight and sum to k, so a maximum-weight entry's is >= k/|pool|: its
+  // factor is additionally capped by the uniform one.  The factor
+  // depends on the weight alone, so it is applied once per cohort.
   const bool uniform_pool = min_weight == max_weight;
   const double uniform_factor =
       1.0 - static_cast<double>(k) / static_cast<double>(pool_size);
-  std::size_t out = 0;
-  std::size_t cursor = 0;
-  for (std::size_t i = 0; i < pool_.size(); ++i) {
-    while (cursor < last_sample_.size() &&
-           last_sample_[cursor] < pool_[i].center) {
-      ++cursor;
+  double factor_weight = 0.0;  // memo: cohorts mostly share few weights
+  double weighted_factor = 1.0;
+  for (const int id : live_cohorts_) {
+    Cohort& cohort = cohorts_[static_cast<std::size_t>(id)];
+    if (cohort.members == 0) continue;
+    if (uniform_pool) {
+      cohort.miss *= uniform_factor;
+      continue;
     }
-    if (cursor < last_sample_.size() &&
-        last_sample_[cursor] == pool_[i].center) {
-      continue;  // verified: leaves the pool
-    }
-    double factor = uniform_factor;
-    if (!uniform_pool) {
-      factor = std::pow(1.0 - pool_[i].weight / total_weight,
-                        static_cast<double>(k));
-      if (pool_[i].weight == max_weight) {
-        factor = std::min(factor, uniform_factor);
+    if (cohort.weight != factor_weight) {
+      factor_weight = cohort.weight;
+      weighted_factor = std::pow(1.0 - cohort.weight / total_weight,
+                                 static_cast<double>(k));
+      if (cohort.weight == max_weight) {
+        weighted_factor = std::min(weighted_factor, uniform_factor);
       }
     }
-    pool_[out] = pool_[i];
-    pool_[out].miss *= factor;
-    ++out;
+    cohort.miss *= weighted_factor;
   }
-  pool_.resize(out);
   refresh_stats_bounds();
 
   RunResult result;

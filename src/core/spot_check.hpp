@@ -30,13 +30,12 @@
 //     probability that the entry was never re-verified since it was
 //     dirtied, multiplying per survived run by a provable bound on that
 //     run's exclusion probability — exactly 1 - k/|pool| when the pool is
-//     uniformly weighted, else (1 - w_i/W)^k (the k largest Efraimidis–
-//     Spirakis keys are distributed as k successive weighted draws
-//     without replacement, each picking a still-unsampled entry with
-//     conditional probability at least w_i/W), with maximum-weight
-//     entries further capped at 1 - k/|pool|.  Stats::miss_bound
-//     surfaces the worst outstanding bound and drops to 0 whenever an
-//     exact run settles the pool.
+//     uniformly weighted, else (1 - w_i/W)^k (the sample is k successive
+//     weighted draws without replacement, each picking a still-unsampled
+//     entry with conditional probability w_i/W_remaining >= w_i/W), with
+//     maximum-weight entries further capped at 1 - k/|pool|.
+//     Stats::miss_bound surfaces the worst outstanding bound and drops to
+//     0 whenever an exact run settles the pool.
 //
 // Importance weighting biases the sample toward balls that history says
 // are risky: centres dirtied structurally (re-extracted rather than
@@ -45,10 +44,25 @@
 // that were rejecting at the last verdict flip.  Weights shift *where*
 // the budget is spent, never the accounting above.
 //
-// Sampling is reproducible: a seeded splitmix64 stream drives
-// Efraimidis–Spirakis weighted reservoir keys over the pool in ascending
-// centre order, so equal seeds give byte-equal sample sequences regardless
-// of the inner backend (tests/test_spot_check_determinism.cpp).
+// Per-batch cost follows the sample, not the pool.  The pool is a sum
+// tree over dense node indices (a centre's leaf holds its weight, 0
+// outside the pool), so inserting, reweighting or removing a centre and
+// drawing one weighted sample each cost O(log n).  Entries that enter the
+// pool, are reset or are reweighted in the same absorption with the same
+// weight share one miss-bound cohort, and a run decays each live cohort
+// once rather than each entry.  A sampled run therefore costs
+// O((fresh dirt + repairs + k) log n + live cohorts) on top of its k ball
+// verifications.  W is the tree's root, a pairwise sum: with the default
+// multipliers every pooled weight is a short dyadic fraction, the sum is
+// exact in any order, and each bound equals the eager per-entry product
+// bit for bit (tests/test_spot_check_sampler.cpp); other multipliers can
+// move it in the last bits.
+//
+// Sampling is reproducible: a seeded splitmix64 stream supplies one
+// uniform value per draw — k per sampled run — and each draw descends the
+// sum tree, whose shape depends only on the pooled (centre, weight)
+// pairs, so equal seeds give byte-equal sample sequences regardless of
+// the inner backend (tests/test_spot_check_determinism.cpp).
 //
 // budget == 0 disables sampling entirely: every run delegates to the
 // inner engine untouched, bit-identically (tests/test_spot_check.cpp).
@@ -56,9 +70,11 @@
 #define LCP_CORE_SPOT_CHECK_HPP_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -87,6 +103,7 @@ struct SpotCheckOptions {
   double repair_weight = 1.5;
   /// Weight multiplier for centres that were rejecting at the most recent
   /// escalated (exact) run — the neighbourhood a verdict flip implicates.
+  /// All three multipliers must be positive and finite.
   double flip_weight = 4.0;
 };
 
@@ -114,7 +131,7 @@ struct SplitMix64 {
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
   }
-  /// Uniform double in (0, 1] (never 0: safe as a reservoir-key base).
+  /// Uniform double in (0, 1].
   double next_unit() {
     return (static_cast<double>(next() >> 11) + 1.0) * 0x1.0p-53;
   }
@@ -123,7 +140,8 @@ struct SplitMix64 {
 class SpotCheckEngine final : public ExecutionEngine {
  public:
   /// Wraps the inner exact engine; throws std::invalid_argument when
-  /// inner is null or the budget is outside [0, 1].
+  /// inner is null, the budget is outside [0, 1], or a weight multiplier
+  /// is not positive and finite.
   explicit SpotCheckEngine(std::unique_ptr<ExecutionEngine> inner,
                            SpotCheckOptions options = {});
   ~SpotCheckEngine() override;
@@ -189,10 +207,18 @@ class SpotCheckEngine final : public ExecutionEngine {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct PoolEntry {
+  /// Entries that share a miss history and a weight: they entered the
+  /// pool, were reset or were reweighted in the same absorption with the
+  /// same resulting weight, so every run decays them alike.
+  struct Cohort {
+    double miss = 1.0;  // P(never sampled since dirtied), upper bound
+    double weight = 1.0;
+    std::size_t members = 0;
+  };
+  /// A centre newly dirtied by the current absorption.
+  struct FreshEntry {
     int center = 0;
     double weight = 1.0;
-    double miss = 1.0;  // P(never sampled since dirtied), upper bound
   };
 
   /// Full delegation to the inner engine: adopts its verdict as the new
@@ -200,9 +226,30 @@ class SpotCheckEngine final : public ExecutionEngine {
   RunResult exact_run(const Graph& g, const Proof& p, const LocalVerifier& a);
   /// Folds the tracker records into the pool (expanding label/proof
   /// epicentres to radius-r balls on the current graph; structural dirt
-  /// arrives pre-expanded).
+  /// arrives pre-expanded), then applies the pending repair boosts.
   void absorb_records(const Graph& g, int radius,
                       const std::vector<const DirtyRecord*>& records);
+  /// Grows the per-node arrays and the sum tree to cover n nodes.
+  void reserve_nodes(std::size_t n);
+  /// Pool membership: centre c's leaf is positive iff c is pooled.
+  bool pooled(int c) const {
+    return tree_[leaves_ + static_cast<std::size_t>(c)] > 0.0;
+  }
+  /// Sets centre c's leaf to w and recomputes its ancestors exactly.
+  void set_leaf(int c, double w);
+  /// Puts c into the pool with weight w in cohort `cohort`, leaving any
+  /// cohort it sat in before.
+  void place(int c, double w, int cohort);
+  /// Takes a pooled centre out of the pool.
+  void remove(int c);
+  /// Removes every entry: zeroes the non-empty part of the tree.
+  void clear_pool();
+  /// A fresh cohort with the given history, reusing a retired slot.
+  int new_cohort(double miss, double weight);
+  /// One weighted draw: the pooled centre whose cumulative-weight span
+  /// holds u, for u in (0, W].  Never lands on a zero leaf.
+  int descend(double u) const;
+  /// Retires empty cohorts and recomputes pool_size and miss_bound.
   void refresh_stats_bounds();
 
   std::unique_ptr<ExecutionEngine> inner_;
@@ -212,6 +259,8 @@ class SpotCheckEngine final : public ExecutionEngine {
   obs::Journal* journal_ = nullptr;
   VerdictAttribution attribution_;
   ViewExtractor extractor_;
+  const Graph* extractor_graph_ = nullptr;  // what extractor_ is bound to
+  std::size_t extractor_n_ = 0;
   SplitMix64 rng_;
 
   // Exact-verdict baseline: valid while the binding below matches.
@@ -222,8 +271,20 @@ class SpotCheckEngine final : public ExecutionEngine {
   std::vector<int> baseline_rejecting_;
   std::uint64_t consumed_generation_ = 0;
 
-  // The outstanding pool, ascending by centre.
-  std::vector<PoolEntry> pool_;
+  // The outstanding pool.  tree_ is a complete binary sum tree with
+  // leaves_ leaves (a power of two >= n): centre c's leaf is
+  // tree_[leaves_ + c], node i sums nodes 2i and 2i + 1, and the root
+  // tree_[1] is the pool's total weight.  Internal nodes are recomputed
+  // from their children rather than adjusted by deltas, so an empty
+  // subtree sums to exactly 0 whatever the weights' rounding.
+  std::vector<double> tree_;
+  std::size_t leaves_ = 0;
+  std::size_t pool_count_ = 0;
+  std::map<double, std::size_t> weight_count_;  // min/max pooled weight
+  std::vector<int> cohort_of_;  // per node; valid while pooled
+  std::vector<Cohort> cohorts_;
+  std::vector<int> live_cohorts_;  // may hold emptied ones until refresh
+  std::vector<int> free_cohorts_;
   bool audit_requested_ = false;
   std::vector<int> last_sample_;
 
@@ -231,20 +292,23 @@ class SpotCheckEngine final : public ExecutionEngine {
   std::vector<std::uint64_t> mark_;
   std::uint64_t mark_epoch_ = 0;
   std::vector<std::size_t> fresh_slot_;  // valid where mark_ == mark_epoch_
+  std::vector<FreshEntry> fresh_;
+  std::vector<std::pair<double, int>> fresh_cohorts_;  // weight -> cohort
   std::vector<int> bfs_queue_;
   std::vector<int> bfs_depth_;
   std::vector<std::uint64_t> bfs_mark_;
   std::uint64_t bfs_epoch_ = 0;
-  // Repair-touched centres awaiting their boost (consumed at next run).
+  // Repair-touched centres awaiting their boost (consumed at next run),
+  // listed once each and marked with the current repair epoch.
+  std::vector<int> repair_list_;
   std::vector<std::uint64_t> repair_mark_;
-  std::uint64_t repair_epoch_ = 0;
+  std::uint64_t repair_epoch_ = 1;
+  // Per cohort: the cohort its repair-boosted members move to, valid
+  // where the epoch matches the current absorption.
+  std::vector<std::pair<std::uint64_t, int>> boosted_cohort_;
   // Centres rejecting at the last verdict flip (boost while set).
   std::vector<std::uint64_t> flip_mark_;
   std::uint64_t flip_epoch_ = 0;
-
-  // Sampling scratch.
-  std::vector<double> keys_;
-  std::vector<int> order_;
 
   Stats stats_;
 };

@@ -160,6 +160,46 @@ TEST(SessionServer, UnknownGraphAndBadScheme) {
   EXPECT_FALSE(bad.error.empty());
 }
 
+TEST(SessionServer, EngineSpecIsReportedAsGiven) {
+  // engine_name(), RejectionReport.engine and GET_STATS carry the spec as
+  // spelled (shard count, budget, inner backend), not only its kind.
+  for (const std::string spec : {"sharded:4", "spotcheck:0.01:direct"}) {
+    SCOPED_TRACE(spec);
+    auto session = VerificationSession::on(gen::grid(4, 4))
+                       .scheme("bipartite")
+                       .engine(spec)
+                       .forensics(true)
+                       .build();
+    EXPECT_EQ(session.engine_name(), spec);
+    ASSERT_TRUE(session.verify().all_accept);
+    // (0,0) and (1,1) share a colour: the chord closes an odd cycle, the
+    // prover fails and the exact REJECT stands.  The audit makes the
+    // spot-check tier verify exactly rather than sample.
+    if (session.spot_check_engine() != nullptr) {
+      session.spot_check_engine()->request_audit();
+    }
+    MutationBatch chord;
+    chord.add_edge(0, 5);
+    EXPECT_FALSE(session.apply(chord).all_accept);
+    ASSERT_TRUE(session.last_rejection().has_value());
+    EXPECT_EQ(session.last_rejection()->engine, spec);
+
+    auto server = grid_server(small_options());
+    const OpenResult opened =
+        server->open_session(kGraphId, "bipartite", spec, false);
+    ASSERT_TRUE(opened.ok) << opened.error;
+    SessionSnapshot snapshot;
+    ASSERT_TRUE(server->get_stats(opened.session_id, &snapshot));
+    EXPECT_EQ(snapshot.engine, spec);
+  }
+  // An EngineKind choice reports the kind's bare name.
+  auto by_kind = VerificationSession::on(gen::grid(2, 2))
+                     .scheme("bipartite")
+                     .engine(EngineKind::kSharded)
+                     .build();
+  EXPECT_EQ(by_kind.engine_name(), "sharded");
+}
+
 TEST(SessionServer, VerdictHistoryEvictsOldTickets) {
   SessionServerOptions options = small_options();
   options.verdict_history = 2;
