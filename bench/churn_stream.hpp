@@ -6,16 +6,15 @@
 // newborn nodes attach to well-connected nodes (degree-proportional
 // endpoint sampling via the uniform-random-edge trick), transient links
 // appear between busy nodes and expire after a fixed window — rather than
-// the uniform remove/re-add loops of the earlier benches.  Used by
-// bench/dynamic_compare's churn-stream column and by the fuzz suites
-// (tests/test_incremental_fuzz.cpp, tests/test_dynamic_fuzz.cpp) to drive
-// the patching x sharding matrix through realistic deltas.
+// the uniform remove/re-add loops of the earlier benches.  Used by the
+// gated benchmark (perfbench/) and by the engine oracle
+// (tests/test_engine_oracle.cpp) to drive every engine and session path
+// through realistic deltas.
 //
 // Determinism contract: next(it, g, batch) draws all randomness from a
 // per-iteration generator seeded by (seed, it), and `it == 0` resets the
 // internal window state, so replaying the stream against an identical
-// starting graph produces identical batches — benches replay one stream
-// once per engine/path and compare checksums.
+// starting graph produces identical batches.
 #ifndef LCP_BENCH_CHURN_STREAM_HPP_
 #define LCP_BENCH_CHURN_STREAM_HPP_
 

@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <functional>
 #include <iterator>
 #include <limits>
@@ -401,11 +400,8 @@ RunResult DirectEngine::run_impl(const Graph& g, const Proof& p,
 // ParallelEngine: node shards over the persistent WorkerPool.
 // ---------------------------------------------------------------------------
 
-ParallelEngine::ParallelEngine(int threads, bool persistent_pool,
-                               std::shared_ptr<BallStore> store)
-    : threads_(threads),
-      persistent_pool_(persistent_pool),
-      store_(std::move(store)) {}
+ParallelEngine::ParallelEngine(int threads, std::shared_ptr<BallStore> store)
+    : threads_(threads), store_(std::move(store)) {}
 
 ParallelEngine::~ParallelEngine() {
   if (telemetry_ != nullptr) telemetry_->metrics.remove_owned(this);
@@ -517,39 +513,19 @@ RunResult ParallelEngine::run_impl(const Graph& g, const Proof& p,
   obs::maybe_emit(journal_, obs::JournalEventKind::kLaneDispatch,
                   "engine.parallel",
                   {{"lanes", workers}, {"nodes", n}});
-  if (persistent_pool_) {
-    const int max_workers = effective_threads(
-        std::numeric_limits<int>::max() / 2);
-    if (pool_ == nullptr || pool_->size() < workers) {
-      pool_ = std::make_unique<WorkerPool>(std::max(workers, max_workers));
-      if (telemetry_ != nullptr) {
-        // Re-register on pool growth: derived() replaces same-name
-        // callbacks, and remove_owned(this) in the destructor withdraws
-        // the per-lane entries of the widest pool.
-        pool_->register_metrics(telemetry_->metrics, "pool.parallel", this);
-      }
-    }
-    const std::function<void(int)> job = shard;
-    pool_->dispatch(workers, job);
-  } else {
-    std::vector<std::exception_ptr> errors(
-        static_cast<std::size_t>(workers));
-    std::vector<std::thread> spawned;
-    spawned.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      spawned.emplace_back([&, w] {
-        try {
-          shard(w);
-        } catch (...) {
-          errors[static_cast<std::size_t>(w)] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& t : spawned) t.join();
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
+  const int max_workers =
+      effective_threads(std::numeric_limits<int>::max() / 2);
+  if (pool_ == nullptr || pool_->size() < workers) {
+    pool_ = std::make_unique<WorkerPool>(std::max(workers, max_workers));
+    if (telemetry_ != nullptr) {
+      // Re-register on pool growth: derived() replaces same-name
+      // callbacks, and remove_owned(this) in the destructor withdraws the
+      // per-lane entries of the widest pool.
+      pool_->register_metrics(telemetry_->metrics, "pool.parallel", this);
     }
   }
+  const std::function<void(int)> job = shard;
+  pool_->dispatch(workers, job);
 
   for (const std::vector<int>& shard_rejects : rejecting) {
     result.rejecting.insert(result.rejecting.end(), shard_rejects.begin(),

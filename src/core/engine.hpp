@@ -23,7 +23,8 @@
 //     re-verifies only the nodes whose balls intersect the change.
 //
 // All engines must produce bit-identical RunResults on the same input; the
-// equivalence corpus in tests/test_engines.cpp enforces this.
+// differential oracle in tests/test_engine_oracle.cpp holds every engine
+// to the plain reference sweep (sweep_sequential).
 #ifndef LCP_CORE_ENGINE_HPP_
 #define LCP_CORE_ENGINE_HPP_
 
@@ -54,7 +55,7 @@ class Journal;
 /// The global outcome of one verifier execution.
 ///
 /// `all_accept`/`rejecting` are the paper's semantics and must be
-/// bit-identical across engines (tests/test_engines.cpp).  The remaining
+/// bit-identical across engines (tests/test_engine_oracle.cpp).  The remaining
 /// fields are *attribution* for the diagnosis tier (obs/forensics.hpp):
 /// how much work the run did and which centres flipped since the engine's
 /// previous run over the same (graph, verifier) binding.  Attribution is
@@ -321,10 +322,8 @@ class DirectEngine final : public ExecutionEngine {
 /// Requires the verifier's accept() to be thread-safe (all in-repo
 /// verifiers are).
 ///
-/// By default the workers form a persistent pool, created lazily on the
-/// first parallel run and reused until destruction; `persistent_pool =
-/// false` restores the old spawn-per-run behaviour (kept for the
-/// before/after comparison in bench/engines_compare).
+/// The workers form a persistent pool, created lazily on the first
+/// parallel run and reused until destruction.
 class ParallelEngine final : public ExecutionEngine {
  public:
   /// threads == 0 picks std::thread::hardware_concurrency().  When `store`
@@ -332,7 +331,7 @@ class ParallelEngine final : public ExecutionEngine {
   /// nothing itself — the store hands its warmth to the caching engines),
   /// making a parallel sweep a cheap way to pre-warm an IncrementalEngine
   /// or DirectEngine sharing the same store.
-  explicit ParallelEngine(int threads = 0, bool persistent_pool = true,
+  explicit ParallelEngine(int threads = 0,
                           std::shared_ptr<BallStore> store = nullptr);
   ~ParallelEngine() override;
 
@@ -360,7 +359,6 @@ class ParallelEngine final : public ExecutionEngine {
   RunResult run_impl(const Graph& g, const Proof& p, const LocalVerifier& a);
 
   int threads_;
-  bool persistent_pool_;
   std::shared_ptr<BallStore> store_;
   std::unique_ptr<WorkerPool> pool_;
   obs::Telemetry* telemetry_ = nullptr;

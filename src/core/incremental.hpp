@@ -42,10 +42,10 @@
 //
 // Anything else — first run, radius change, structural change without a
 // tracker, cache overflow — is a full sweep that rebuilds the cache.  The
-// equivalence corpus in tests/test_engines.cpp and the mutation fuzz test
-// in tests/test_incremental_fuzz.cpp pin bit-identical RunResults against
-// DirectEngine on every path (the fuzz covers the full patching x sharding
-// matrix).
+// differential oracle in tests/test_engine_oracle.cpp pins bit-identical
+// RunResults against the reference sweep on every path: the content path,
+// tracker-fed sessions under churn, and the full patching x sharding
+// matrix including a mid-stream toggle.
 #ifndef LCP_CORE_INCREMENTAL_HPP_
 #define LCP_CORE_INCREMENTAL_HPP_
 

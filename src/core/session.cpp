@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -64,6 +65,20 @@ class PhaseScope {
   obs::LatencyHistogram* hist_;
   std::chrono::steady_clock::time_point start_;
 };
+
+/// "spotcheck:BUDGET", plus the inner backend when `spelled` names one
+/// ("spotcheck:0.25:sharded:2" at budget 1 -> "spotcheck:1:sharded:2").
+std::string spotcheck_name(double budget, std::string_view spelled) {
+  char digits[32];
+  const auto end = std::to_chars(digits, digits + sizeof digits, budget).ptr;
+  std::string name = "spotcheck:" + std::string(digits, end);
+  constexpr std::string_view prefix = "spotcheck:";
+  const std::size_t inner = spelled.find(':', prefix.size());
+  if (spelled.size() > prefix.size() && inner != std::string_view::npos) {
+    name += spelled.substr(inner);
+  }
+  return name;
+}
 
 }  // namespace
 
@@ -271,8 +286,8 @@ VerificationSession::VerificationSession(Builder&& b)
       engine_ = make_engine("message-passing");
       break;
     case EngineKind::kParallel:
-      engine_ = std::make_unique<ParallelEngine>(
-          /*threads=*/0, /*persistent_pool=*/true, std::move(b.store_));
+      engine_ = std::make_unique<ParallelEngine>(/*threads=*/0,
+                                                 std::move(b.store_));
       break;
     case EngineKind::kIncremental: {
       IncrementalEngineOptions options = std::move(b.incremental_options_);
@@ -295,6 +310,12 @@ VerificationSession::VerificationSession(Builder&& b)
     case EngineKind::kSpotCheck: {
       SpotCheckSpec spec = parse_spotcheck_spec(b.spotcheck_spec_);
       if (b.spotcheck_options_.has_value()) {
+        if (b.spotcheck_options_->budget != spec.options.budget) {
+          // Reports name the budget the tier samples at, not the one
+          // spelled in the spec.
+          b.engine_spec_ = spotcheck_name(b.spotcheck_options_->budget,
+                                          b.spotcheck_spec_);
+        }
         spec.options = *b.spotcheck_options_;
       }
       // The inner engine gets the same treatment the bare kinds do, so

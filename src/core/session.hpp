@@ -289,7 +289,9 @@ class VerificationSession {
   /// The make_engine spelling the session was built with, exactly as
   /// given to Builder::engine ("incremental", "sharded:4",
   /// "spotcheck:0.01:direct", ...); the kind's bare name ("sharded") when
-  /// it was chosen by EngineKind.  For reports and server stats.
+  /// it was chosen by EngineKind.  When spotcheck_options() overrides the
+  /// spelled budget, the name carries the budget the tier samples at
+  /// ("spotcheck:1:sharded:2").  For reports and server stats.
   const std::string& engine_name() const { return engine_name_; }
 
   /// The attached telemetry bundle, nullptr when disabled.  The registry

@@ -1,6 +1,7 @@
 #include "local/message_passing.hpp"
 
 #include <map>
+#include <tuple>
 
 #include "graph/subgraph.hpp"
 
@@ -12,8 +13,11 @@ namespace {
 struct NodeRecord {
   std::uint64_t label = 0;
   BitString proof;
-  /// Incident edges as (neighbour id, edge label, weight).
-  std::vector<std::tuple<NodeId, std::uint64_t, std::int64_t>> incident;
+  /// Incident edges as (neighbour id, edge label, weight, whether this
+  /// node is the edge's first endpoint).  The endpoint order carries arc
+  /// directions (graph/directed.hpp), so the ball must keep it.
+  std::vector<std::tuple<NodeId, std::uint64_t, std::int64_t, bool>>
+      incident;
 };
 
 using Knowledge = std::map<NodeId, NodeRecord>;
@@ -30,7 +34,8 @@ View assemble_view_by_flooding(const Graph& g, const Proof& p, int v,
     rec.proof = p.labels[static_cast<std::size_t>(u)];
     for (const HalfEdge& h : g.neighbors(u)) {
       rec.incident.emplace_back(g.id(h.to), g.edge_label(h.edge),
-                                g.edge_weight(h.edge));
+                                g.edge_weight(h.edge),
+                                g.edge_u(h.edge) == u);
     }
     know[static_cast<std::size_t>(u)].emplace(g.id(u), std::move(rec));
   }
@@ -58,10 +63,14 @@ View assemble_view_by_flooding(const Graph& g, const Proof& p, int v,
   for (const auto& [id, rec] : mine) assembled.add_node(id, rec.label);
   for (const auto& [id, rec] : mine) {
     const int a = *assembled.index_of(id);
-    for (const auto& [other, elabel, weight] : rec.incident) {
+    for (const auto& [other, elabel, weight, first] : rec.incident) {
       const std::optional<int> b = assembled.index_of(other);
       if (b.has_value() && !assembled.has_edge(a, *b)) {
-        assembled.add_edge(a, *b, elabel, weight);
+        if (first) {
+          assembled.add_edge(a, *b, elabel, weight);
+        } else {
+          assembled.add_edge(*b, a, elabel, weight);
+        }
       }
     }
   }

@@ -234,7 +234,7 @@ TEST(BallStore, ParallelSweepFeedsIncrementalEngine) {
   const RunResult want = fresh.run(g, p, parity_verifier());
 
   // Warm parallel sweep publishes into the store...
-  ParallelEngine parallel(3, /*persistent_pool=*/true, store);
+  ParallelEngine parallel(3, store);
   expect_equal(want, parallel.run(g, p, parity_verifier()), "parallel");
   EXPECT_TRUE(store->contains(graph_fingerprint(g), 1));
 

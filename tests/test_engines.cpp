@@ -1,74 +1,21 @@
-// Engine equivalence corpus: Direct (cached and uncached), MessagePassing,
-// Parallel, and Incremental engines must return bit-identical RunResults —
-// verdict AND rejecting-node sets — on random graphs, several schemes,
-// honest proofs, and adversarial (tampered/empty) proofs.  The corpus
-// mutates graphs and proofs arbitrarily between runs, so it exercises the
-// IncrementalEngine's content path (full rebuilds, proof auto-diff, and
-// unchanged-state reuse) without any tracker cooperation.
+// Engine-specific behaviour that the differential oracle
+// (tests/test_engine_oracle.cpp) does not pin: DirectEngine's view-cache
+// invalidation, LRU residency, ball budget and tracker migration, and the
+// make_engine factory's names.  Verdict equivalence across engines lives in
+// the oracle.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <vector>
+#include <string>
 
-#include "core/checker.hpp"
 #include "core/delta.hpp"
 #include "core/engine.hpp"
-#include "core/incremental.hpp"
-#include "core/runner.hpp"
 #include "graph/generators.hpp"
-#include "local/message_passing.hpp"
-#include "schemes/cycle_certified.hpp"
 #include "schemes/lcp_const.hpp"
 #include "schemes/tree_certified.hpp"
 
 namespace lcp {
 namespace {
-
-struct Case {
-  std::string label;
-  Graph graph;
-  Proof proof;
-};
-
-/// Honest, tampered, and empty proofs for one scheme on one graph.
-std::vector<Case> cases_for(const Scheme& scheme, Graph g,
-                            const std::string& label) {
-  std::vector<Case> out;
-  const auto honest = scheme.prove(g);
-  if (honest.has_value()) {
-    out.push_back({label + "/honest", g, *honest});
-    for (const Proof& tampered : tampered_variants(*honest, 6, 11)) {
-      out.push_back({label + "/tampered", g, tampered});
-    }
-  }
-  out.push_back({label + "/empty", g, Proof::empty(g.n())});
-  return out;
-}
-
-std::vector<Case> corpus(const Scheme& scheme) {
-  std::vector<Case> all;
-  std::vector<std::pair<std::string, Graph>> graphs;
-  graphs.emplace_back("cycle9", gen::cycle(9));
-  graphs.emplace_back("grid3x4", gen::grid(3, 4));
-  graphs.emplace_back("petersen", gen::petersen());
-  graphs.emplace_back("tree12", gen::random_tree(12, 3));
-  for (std::uint32_t seed = 1; seed <= 3; ++seed) {
-    graphs.emplace_back("conn14-" + std::to_string(seed),
-                        gen::random_connected(14, 0.25, seed));
-    // Possibly disconnected: engines must agree off the happy path too.
-    graphs.emplace_back("er10-" + std::to_string(seed),
-                        gen::random_graph(10, 0.3, seed));
-  }
-  for (auto& [label, g] : graphs) {
-    if (scheme.name() == "leader-election" && g.n() > 0) {
-      g.set_label(g.n() / 2, schemes::kLeaderFlag);
-    }
-    auto cases = cases_for(scheme, g, scheme.name() + "/" + label);
-    all.insert(all.end(), std::make_move_iterator(cases.begin()),
-               std::make_move_iterator(cases.end()));
-  }
-  return all;
-}
 
 void expect_equal(const RunResult& expected, const RunResult& actual,
                   const std::string& engine, const std::string& label) {
@@ -76,58 +23,6 @@ void expect_equal(const RunResult& expected, const RunResult& actual,
       << engine << " on " << label;
   EXPECT_EQ(expected.rejecting, actual.rejecting)
       << engine << " on " << label;
-}
-
-void run_corpus(const Scheme& scheme) {
-  DirectEngine cached;                                  // reused across cases
-  DirectEngine uncached({/*cache_views=*/false});
-  MessagePassingEngine flooding;
-  ParallelEngine parallel1(1);
-  ParallelEngine parallel4(4);
-  ParallelEngine spawning(4, /*persistent_pool=*/false);
-  IncrementalEngine incremental;
-  for (const Case& c : corpus(scheme)) {
-    const RunResult expected =
-        uncached.run(c.graph, c.proof, scheme.verifier());
-    expect_equal(expected, cached.run(c.graph, c.proof, scheme.verifier()),
-                 "direct-cached", c.label);
-    // Second cached run exercises the cache-hit path.
-    expect_equal(expected, cached.run(c.graph, c.proof, scheme.verifier()),
-                 "direct-cache-hit", c.label);
-    expect_equal(expected, flooding.run(c.graph, c.proof, scheme.verifier()),
-                 "message-passing", c.label);
-    expect_equal(expected, parallel1.run(c.graph, c.proof, scheme.verifier()),
-                 "parallel-1", c.label);
-    expect_equal(expected, parallel4.run(c.graph, c.proof, scheme.verifier()),
-                 "parallel-4", c.label);
-    expect_equal(expected, spawning.run(c.graph, c.proof, scheme.verifier()),
-                 "parallel-spawn", c.label);
-    expect_equal(expected,
-                 incremental.run(c.graph, c.proof, scheme.verifier()),
-                 "incremental", c.label);
-    // Second run hits the unchanged-state path (cached verdicts).
-    expect_equal(expected,
-                 incremental.run(c.graph, c.proof, scheme.verifier()),
-                 "incremental-unchanged", c.label);
-  }
-}
-
-TEST(EngineEquivalence, Bipartite) { run_corpus(schemes::BipartiteScheme()); }
-
-TEST(EngineEquivalence, NonBipartite) {
-  run_corpus(schemes::NonBipartiteScheme());
-}
-
-TEST(EngineEquivalence, LeaderElection) {
-  run_corpus(schemes::LeaderElectionScheme());
-}
-
-TEST(EngineEquivalence, Parity) {
-  run_corpus(schemes::ParityScheme(/*odd=*/true));
-}
-
-TEST(EngineEquivalence, AcyclicRadiusTwo) {
-  run_corpus(schemes::AcyclicScheme());
 }
 
 TEST(DirectEngineCache, InvalidatesOnGraphMutation) {
@@ -304,29 +199,6 @@ TEST(EngineFactory, KnowsEveryBackend) {
     EXPECT_TRUE(engine->run(g, p, scheme.verifier()).all_accept) << name;
   }
   EXPECT_THROW(make_engine("quantum"), std::invalid_argument);
-}
-
-TEST(Engines, ExhaustiveSearchMatchesAcrossEngines) {
-  // exists_accepted_proof through each engine: the nondeterministic
-  // acceptance predicate itself is backend-independent.
-  const LambdaVerifier two_col(1, [](const View& v) {
-    const BitString& mine = v.proof_of(v.center);
-    if (mine.size() != 1) return false;
-    for (const HalfEdge& h : v.ball.neighbors(v.center)) {
-      const BitString& other = v.proof_of(h.to);
-      if (other.size() != 1 || other.bit(0) == mine.bit(0)) return false;
-    }
-    return true;
-  });
-  for (const char* name :
-       {"direct", "message-passing", "parallel", "incremental",
-        "sharded:2"}) {
-    const std::unique_ptr<ExecutionEngine> engine = make_engine(name);
-    EXPECT_TRUE(exists_accepted_proof(gen::cycle(4), two_col, 1, *engine))
-        << name;
-    EXPECT_FALSE(exists_accepted_proof(gen::cycle(5), two_col, 1, *engine))
-        << name;
-  }
 }
 
 }  // namespace

@@ -1,33 +1,24 @@
 // Lazy re-proving in VerificationSession::apply(): without a maintainer
 // repair the session verifies the held proof and runs the scheme's prover
-// only when that verdict rejects.
+// only when that verdict rejects.  The differential half — every engine's
+// maintainer-less session against an eager reference that re-proves every
+// batch — is one of the paths tests/test_engine_oracle.cpp checks.  This
+// suite pins the bookkeeping:
 //
-//   (a) differential: on every engine spec, a maintainer-less session fed
-//       seeded mixed streams (label churn, edge churn that breaks and
-//       restores bipartiteness, node joins, proof tampers) returns the
-//       same verdict after every batch as an eager reference that
-//       re-proves every batch by hand, and the same state fingerprint
-//       whenever the session re-proved;
-//   (b) the reject path's bookkeeping: a healed held-proof rejection is
-//       one reprove, two engine runs, and no verdict flip; a no-instance
-//       is an exact REJECT with a failed prove and a forensic report;
-//   (c) the spot-check tier: label-only streams never re-prove, and a
+//   (a) the reject path: a healed held-proof rejection is one reprove,
+//       two engine runs, and no verdict flip; a no-instance is an exact
+//       REJECT with a failed prove and a forensic report;
+//   (b) the spot-check tier: label-only streams never re-prove, and a
 //       structural batch that breaks the held proof re-proves once after
 //       the audit's exact REJECT.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <random>
-#include <set>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/delta.hpp"
 #include "core/engine.hpp"
-#include "core/registry.hpp"
 #include "core/session.hpp"
 #include "graph/generators.hpp"
 #include "obs/journal.hpp"
@@ -43,187 +34,6 @@ BitString flipped(const BitString& bits) {
     out.append_bit(i == 0 ? !bits.bit(i) : bits.bit(i));
   }
   return out;
-}
-
-/// Edges the stream added and removed, so later batches mostly undo them:
-/// the stream keeps moving between yes- and no-instances instead of
-/// drifting into a dense non-bipartite or a shattered graph.
-struct EdgeChurn {
-  std::vector<std::pair<int, int>> added;
-  std::vector<std::pair<int, int>> removed;
-};
-
-/// Pops a random entry of `pool` that `keep` admits, if any.
-template <typename Keep>
-bool take(std::mt19937& rng, std::vector<std::pair<int, int>>* pool,
-          Keep keep, std::pair<int, int>* out) {
-  if (pool->empty()) return false;
-  const std::size_t k = rng() % pool->size();
-  const std::pair<int, int> edge = (*pool)[k];
-  if (!keep(edge)) return false;
-  (*pool)[k] = pool->back();
-  pool->pop_back();
-  *out = edge;
-  return true;
-}
-
-/// One batch of 1-4 ops.
-MutationBatch random_batch(std::mt19937& rng, const Graph& g, const Proof& p,
-                           EdgeChurn* churn) {
-  MutationBatch batch;
-  std::set<std::pair<int, int>> touched;  // one op per edge per batch
-  const auto fresh = [&](int u, int v) {
-    return touched.insert({std::min(u, v), std::max(u, v)}).second;
-  };
-  const auto node = [&] {
-    return std::uniform_int_distribution<int>(0, g.n() - 1)(rng);
-  };
-  const int ops = 1 + static_cast<int>(rng() % 4);
-  bool joined = false;
-  for (int i = 0; i < ops; ++i) {
-    switch (rng() % 6) {
-      case 0:
-        batch.set_node_label(node(), rng() % 8);
-        break;
-      case 1: {  // add: restore a removed edge, or a new one (about
-                 // half of those close an odd cycle)
-        const auto absent = [&](std::pair<int, int> e) {
-          return !g.has_edge(e.first, e.second) && fresh(e.first, e.second);
-        };
-        std::pair<int, int> e;
-        if (rng() % 2 == 0 && take(rng, &churn->removed, absent, &e)) {
-          batch.add_edge(e.first, e.second);
-          break;
-        }
-        e = {node(), node()};
-        if (e.first != e.second && absent(e)) {
-          batch.add_edge(e.first, e.second);
-          churn->added.push_back(e);
-        }
-        break;
-      }
-      case 2: {  // remove: mostly undo an earlier add
-        const auto present = [&](std::pair<int, int> e) {
-          return g.has_edge(e.first, e.second) && fresh(e.first, e.second);
-        };
-        std::pair<int, int> e;
-        if (rng() % 4 != 0 && take(rng, &churn->added, present, &e)) {
-          batch.remove_edge(e.first, e.second);
-        } else if (g.m() > 0) {
-          const int k = std::uniform_int_distribution<int>(0, g.m() - 1)(rng);
-          e = {g.edge_u(k), g.edge_v(k)};
-          if (fresh(e.first, e.second)) {
-            batch.remove_edge(e.first, e.second);
-            churn->removed.push_back(e);
-          }
-        }
-        break;
-      }
-      case 3:
-      case 4: {  // out-of-band proof tamper
-        const int v = node();
-        batch.set_proof_label(v, flipped(p.labels[static_cast<std::size_t>(v)]));
-        break;
-      }
-      default:  // two nodes join as a pendant path (keeps n's parity)
-        if (!joined && rng() % 3 == 0) {
-          joined = true;
-          const int anchor = node();
-          batch.add_node(g.max_id() + 1);
-          batch.add_node(g.max_id() + 2);
-          batch.add_edge(g.n(), anchor);
-          batch.add_edge(g.n() + 1, g.n());
-        }
-        break;
-    }
-  }
-  return batch;
-}
-
-struct LazyCounts {
-  int accepts = 0;
-  int rejects = 0;
-  int healed = 0;  // batches whose held proof was rejected and re-proved
-  int failed = 0;  // batches whose re-prove failed (no-instance)
-};
-
-/// Drives a maintainer-less session on `spec` and an eager reference
-/// (DeltaTracker + full prove + diff + sequential sweep every batch)
-/// through the same stream, comparing after every batch.
-LazyCounts run_differential(const std::string& spec, const std::string& expr,
-                            std::uint32_t seed, int batches) {
-  const Graph start = gen::grid(5, 6);
-  auto session = VerificationSession::on(start)
-                     .scheme(expr)
-                     .engine(spec)
-                     .build();
-
-  const std::unique_ptr<Scheme> scheme = builtin_registry().build(expr);
-  Graph g = start;
-  Proof p = scheme->prove(g).value_or(Proof::empty(g.n()));
-  DeltaTracker tracker(g, p, scheme->verifier().radius());
-  EXPECT_EQ(session.proof().labels, p.labels);
-
-  LazyCounts counts;
-  std::mt19937 rng(seed);
-  EdgeChurn churn;
-  for (int b = 0; b < batches; ++b) {
-    const MutationBatch batch =
-        random_batch(rng, session.graph(), session.proof(), &churn);
-    const SessionStats before = session.stats();
-    const RunResult got = session.apply(batch);
-
-    tracker.apply(batch);
-    if (auto fresh = scheme->prove(g)) {
-      MutationBatch diff;
-      diff_proofs_into_batch(p, *fresh, &diff);
-      if (!diff.empty()) tracker.apply(diff);
-    }
-    const RunResult want = sweep_sequential(g, p, scheme->verifier());
-
-    const std::string where = spec + " / " + expr + " batch " +
-                              std::to_string(b);
-    EXPECT_EQ(got.all_accept, want.all_accept) << where;
-    EXPECT_EQ(got.rejecting, want.rejecting) << where;
-    const bool reproved = session.stats().reproves > before.reproves;
-    const bool failed = session.stats().failed_proves > before.failed_proves;
-    if (reproved && !failed) {
-      EXPECT_EQ(session.tracker().state_fingerprint(),
-                tracker.state_fingerprint())
-          << where;
-    }
-    counts.accepts += got.all_accept ? 1 : 0;
-    counts.rejects += got.all_accept ? 0 : 1;
-    counts.healed += reproved && !failed ? 1 : 0;
-    counts.failed += failed ? 1 : 0;
-    if (::testing::Test::HasFailure()) break;
-  }
-  // A lazy session re-proves only after a rejection, never more often
-  // than the eager reference's once per batch.
-  EXPECT_LE(session.stats().reproves, session.stats().batches);
-  return counts;
-}
-
-TEST(LazyReprove, MatchesEagerReferenceOnEveryEngine) {
-  for (const char* spec :
-       {"direct", "parallel", "incremental", "sharded:2", "spotcheck:1.0"}) {
-    for (const char* expr : {"bipartite", "bipartite & even-n"}) {
-      LazyCounts total;
-      for (std::uint32_t seed : {11u, 12u, 13u}) {
-        const LazyCounts c = run_differential(spec, expr, seed, 60);
-        total.accepts += c.accepts;
-        total.rejects += c.rejects;
-        total.healed += c.healed;
-        total.failed += c.failed;
-      }
-      // The streams exercise every branch: accepted held proofs,
-      // rejections healed by the prover, and failed proves.
-      EXPECT_GT(total.accepts, 0) << spec << " / " << expr;
-      EXPECT_GT(total.rejects, 0) << spec << " / " << expr;
-      EXPECT_GT(total.healed, 0) << spec << " / " << expr;
-      EXPECT_GT(total.failed, 0) << spec << " / " << expr;
-    }
-  }
 }
 
 std::size_t count_kind(const obs::Journal& journal,

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -55,11 +56,17 @@ MutationBatch relabel(int node, std::uint64_t label) {
   return batch;
 }
 
+/// How long a test waits for an asynchronous apply.  A wall-clock bound,
+/// not a poll count: on a loaded machine an apply lane can go unscheduled
+/// for longer than any fixed number of yields.
+constexpr std::chrono::seconds kApplyDeadline{10};
+
 /// Polls until the ticket resolves (the server applies asynchronously).
 VerdictRecord await_verdict(SessionServer& server, std::uint64_t session,
                             std::uint64_t ticket) {
   VerdictRecord record;
-  for (int i = 0; i < 20000; ++i) {
+  const auto deadline = std::chrono::steady_clock::now() + kApplyDeadline;
+  while (std::chrono::steady_clock::now() < deadline) {
     const PollStatus status = server.poll(session, ticket, &record);
     if (status == PollStatus::kDone) return record;
     EXPECT_EQ(status, PollStatus::kPending);
@@ -476,7 +483,8 @@ TEST(LoopbackConnection, FullProtocolConversation) {
   poll.session_id = opened.session_id;
   poll.ticket = accepted.ticket;
   VerdictReply verdict;
-  for (int i = 0; i < 20000; ++i) {
+  const auto deadline = std::chrono::steady_clock::now() + kApplyDeadline;
+  while (std::chrono::steady_clock::now() < deadline) {
     verdict = ask<VerdictReply>(conn, encode(poll));
     if (verdict.status != 0) break;
     std::this_thread::yield();

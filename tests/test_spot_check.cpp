@@ -620,6 +620,8 @@ TEST(SpotCheckSession, BuilderAcceptsInnerSpecsAndOptions) {
   // spotcheck_options() overrides the parsed budget.
   EXPECT_DOUBLE_EQ(session.spot_check_engine()->budget(), 1.0);
   EXPECT_EQ(session.spot_check_engine()->inner().name(), "sharded");
+  // Reports (RejectionReport.engine, GET_STATS) name the sampled budget.
+  EXPECT_EQ(session.engine_name(), "spotcheck:1:sharded:2");
   EXPECT_TRUE(session.verify().all_accept);
 
   MutationBatch batch;
@@ -627,6 +629,23 @@ TEST(SpotCheckSession, BuilderAcceptsInnerSpecsAndOptions) {
   EXPECT_TRUE(session.apply(batch).all_accept);
   // Budget 1 verifies the whole pool: nothing is ever skipped.
   EXPECT_EQ(session.stats().spot_skipped, 0u);
+
+  // A kind-chosen tier names its overriding budget too; an override that
+  // keeps the spelled budget keeps the spelling.
+  EXPECT_EQ(VerificationSession::on(gen::grid(2, 2))
+                .scheme(scheme)
+                .engine(EngineKind::kSpotCheck)
+                .spotcheck_options({.budget = 0.5})
+                .build()
+                .engine_name(),
+            "spotcheck:0.5");
+  EXPECT_EQ(VerificationSession::on(gen::grid(2, 2))
+                .scheme(scheme)
+                .engine("spotcheck:0.50:direct")
+                .spotcheck_options({.budget = 0.5, .seed = 7})
+                .build()
+                .engine_name(),
+            "spotcheck:0.50:direct");
 
   EXPECT_THROW(VerificationSession::on(gen::grid(2, 2))
                    .scheme(scheme)

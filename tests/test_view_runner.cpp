@@ -129,6 +129,18 @@ TEST_P(BackendEquivalence, FloodingAssemblesTheInducedBall) {
         EXPECT_EQ(direct.ball.label(u), flooded.ball.label(*fu));
         EXPECT_EQ(direct.ball.degree(u), flooded.ball.degree(*fu));
       }
+      // Same edges in the same endpoint order, which carries arc
+      // directions (graph/directed.hpp).
+      for (int e = 0; e < direct.ball.m(); ++e) {
+        const int fu =
+            *flooded.ball.index_of(direct.ball.id(direct.ball.edge_u(e)));
+        const int fv =
+            *flooded.ball.index_of(direct.ball.id(direct.ball.edge_v(e)));
+        const int fe = flooded.ball.edge_index(fu, fv);
+        ASSERT_GE(fe, 0);
+        EXPECT_EQ(flooded.ball.edge_u(fe), fu);
+        EXPECT_EQ(flooded.ball.edge_label(fe), direct.ball.edge_label(e));
+      }
     }
   }
 }
