@@ -27,17 +27,13 @@ namespace lcp::bench {
 
 inline View seed_extract_view(const Graph& g, const Proof& p, int v,
                               int radius) {
-  View view;
-  view.radius = radius;
   const std::vector<int> nodes = ball_nodes(g, v, radius);
-  view.ball = induced_subgraph(g, nodes);
-  view.center = 0;
-  view.proofs.reserve(nodes.size());
-  for (int u : nodes) {
-    view.proofs.push_back(p.labels[static_cast<std::size_t>(u)]);
-  }
-  view.dist = bfs_distances(view.ball, view.center);
-  return view;
+  const Graph ball = induced_subgraph(g, nodes);
+  std::vector<BitString> proofs;
+  proofs.reserve(nodes.size());
+  for (int u : nodes) proofs.push_back(p.labels[static_cast<std::size_t>(u)]);
+  return View::from_graph(ball, 0, radius, std::move(proofs),
+                          bfs_distances(ball, 0));
 }
 
 inline RunResult seed_run_verifier(const Graph& g, const Proof& p,

@@ -41,22 +41,12 @@ BENCHMARK(BM_EngineSeedBaseline)->Arg(32)->Arg(100)->Unit(benchmark::kMillisecon
 
 void BM_EngineDirect(benchmark::State& state) {
   const EngineWorkload w(static_cast<int>(state.range(0)));
-  DirectEngine engine({/*cache_views=*/false});
+  DirectEngine engine;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(w.graph, w.proof, w.scheme.verifier()));
   }
 }
 BENCHMARK(BM_EngineDirect)->Arg(32)->Arg(100)->Unit(benchmark::kMillisecond);
-
-void BM_EngineDirectCached(benchmark::State& state) {
-  const EngineWorkload w(static_cast<int>(state.range(0)));
-  DirectEngine engine;
-  (void)engine.run(w.graph, w.proof, w.scheme.verifier());  // warm the cache
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(w.graph, w.proof, w.scheme.verifier()));
-  }
-}
-BENCHMARK(BM_EngineDirectCached)->Arg(32)->Arg(100)->Unit(benchmark::kMillisecond);
 
 void BM_EngineParallel(benchmark::State& state) {
   const EngineWorkload w(static_cast<int>(state.range(0)));
@@ -78,6 +68,23 @@ void BM_BallExtraction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BallExtraction)->Arg(8)->Arg(16)->Arg(32);
+
+// The engines' kernel: extract_into one reused View on grid(300,300),
+// walking the centres in order; the argument is the radius.
+void BM_FlatExtractInto(benchmark::State& state) {
+  const int radius = static_cast<int>(state.range(0));
+  const Graph g = gen::grid(300, 300);
+  const Proof p = Proof::empty(g.n());
+  ViewExtractor extractor(g);
+  View view;
+  int v = 0;
+  for (auto _ : state) {
+    extractor.extract_into(p, v, radius, view);
+    benchmark::DoNotOptimize(view.ball.m());
+    v = (v + 1) % g.n();
+  }
+}
+BENCHMARK(BM_FlatExtractInto)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_VerifierBipartiteCycle(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -1,12 +1,12 @@
 // A guided tour of the observability stack: one VerificationSession — a
-// composed scheme, an incremental engine with a worker pool, a shared
-// ball store, and a ComposedMaintainer — runs a churn stream with the
+// composed scheme, an incremental engine with a worker pool, and a
+// ComposedMaintainer — runs a churn stream with the
 // Telemetry bundle, the flight-recorder journal, and rejection forensics
 // all attached, then breaks its own certificate on purpose and dumps
 // everything the diagnosis tier saw:
 //
 //   telemetry_metrics.json    the full metric snapshot (every layer:
-//                             session.*, engine.*, store.*, pool.*,
+//                             session.*, engine.*, pool.*,
 //                             maintainer.*)
 //   telemetry_trace.json      Chrome trace-event JSON; load it in
 //                             chrome://tracing or https://ui.perfetto.dev
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "algo/matching.hpp"
-#include "core/ball_store.hpp"
 #include "core/session.hpp"
 #include "dynamic/maintainer.hpp"
 #include "graph/generators.hpp"
@@ -57,18 +56,15 @@ int main() {
   }
 
   // One bundle, shared explicitly (telemetry(true) would make a private
-  // one); the store and the small worker pool exist so their layers show
-  // up in the snapshot.  journal(true) threads the flight recorder
-  // through the engine, store, and maintainer; forensics(true) arms the
-  // rejection capture.
+  // one); the small worker pool exists so its layer shows up in the
+  // snapshot.  journal(true) threads the flight recorder through the
+  // engine and maintainer; forensics(true) arms the rejection capture.
   auto sink = std::make_shared<obs::Telemetry>();
-  auto store = std::make_shared<BallStore>();
   auto session =
       VerificationSession::on(std::move(g))
           .scheme("leader-election & maximal-matching")
           .engine(EngineKind::kIncremental)
           .engine_options({.shard_threads = 2, .shard_min_centers = 1})
-          .store(store)
           .maintain(true)
           .telemetry(sink)
           .journal(true)
@@ -166,8 +162,7 @@ int main() {
                   snap.histograms.size());
   for (const auto& gauge : snap.gauges) {
     if (gauge.name == "session.repaired" || gauge.name == "session.reproves" ||
-        gauge.name == "store.ball.hit_rate" ||
-        gauge.name == "engine.incremental.views_patched" ||
+        gauge.name == "engine.incremental.reextractions" ||
         gauge.name == "pool.incremental.lanes" ||
         gauge.name == "maintainer.composed.repaired_batches") {
       std::printf("  %-42s %10.2f\n", gauge.name.c_str(), gauge.value);

@@ -80,7 +80,7 @@ bool cert_says_root(const TreeCert& cert) { return cert.is_root; }
 bool check_tree_cert_at_center(
     const View& view, const std::vector<std::optional<TreeCert>>& certs,
     int trunc_bits, bool check_root_id) {
-  const Graph& ball = view.ball;
+  const Ball& ball = view.ball;
   const int c = view.center;
   const auto& mine_opt = certs[static_cast<std::size_t>(c)];
   if (!mine_opt.has_value()) return false;

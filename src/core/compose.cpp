@@ -13,16 +13,17 @@ namespace {
 // memory; decode_label treats them as malformed before trusting a length.
 constexpr int kMaxLengthFieldWidth = 60;
 
-/// Restricts a radius-R view to radius r <= R under the given proof
-/// labels (ball indices).  The ball is an induced subgraph whose
-/// adjacency order is the same deterministic function of node ids as the
-/// host's, so re-extraction from the ball is bit-identical to extraction
-/// from the original graph.
-View restrict_view(const View& view, const std::vector<BitString>& proofs,
-                   int radius) {
+/// Restricts a radius-R view to radius r <= R.  The ball is an induced
+/// subgraph whose adjacency order is the same deterministic function of
+/// node ids as the host's, so re-extraction from the ball is
+/// bit-identical to extraction from the original graph.  The result owns
+/// its proof labels.
+View restrict_view(const View& view, int radius) {
   Proof p;
-  p.labels = proofs;
-  return extract_view(view.ball, p, view.center, radius);
+  p.labels.assign(view.proofs.begin(), view.proofs.end());
+  View restricted = extract_view(view.ball, p, view.center, radius);
+  restricted.own_proofs();
+  return restricted;
 }
 
 class ConjunctionVerifier final : public LocalVerifier {
@@ -40,38 +41,38 @@ class ConjunctionVerifier final : public LocalVerifier {
   bool accept(const View& view) const override {
     const int k = static_cast<int>(parts_->size());
     const int ball_n = view.ball.n();
-    // Decode every ball label once; any malformed framing rejects here.
+    // Decode every ball label once, component-major; any malformed
+    // framing rejects here.
     std::vector<std::vector<BitString>> slices(
-        static_cast<std::size_t>(ball_n));
+        static_cast<std::size_t>(k),
+        std::vector<BitString>(static_cast<std::size_t>(ball_n)));
+    std::vector<BitString> parts;
     for (int i = 0; i < ball_n; ++i) {
       if (!ConjunctionScheme::decode_label(
-              view.proofs[static_cast<std::size_t>(i)], k,
-              &slices[static_cast<std::size_t>(i)])) {
+              view.proofs[static_cast<std::size_t>(i)], k, &parts)) {
         return false;
       }
+      for (int j = 0; j < k; ++j) {
+        slices[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] =
+            std::move(parts[static_cast<std::size_t>(j)]);
+      }
     }
-    // One scratch view per accept() (the input view is read-only and may
-    // be a cached/shared ball): component j swaps its slice of the
-    // proofs in, so the ball is copied once, not once per component.
+    // One scratch view per accept() (the input view is read-only): each
+    // component swaps its slice of the proofs in, so the ball is copied
+    // once, not once per component.
     View scratch;
     scratch.ball = view.ball;
     scratch.center = view.center;
     scratch.radius = view.radius;
     scratch.dist = view.dist;
-    scratch.proofs.resize(static_cast<std::size_t>(ball_n));
     for (int j = 0; j < k; ++j) {
       const LocalVerifier& sub = (*parts_)[static_cast<std::size_t>(j)]
                                      ->verifier();
-      for (int i = 0; i < ball_n; ++i) {
-        // Each slice is consumed by exactly one component: move it.
-        scratch.proofs[static_cast<std::size_t>(i)] = std::move(
-            slices[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]);
-      }
-      const bool ok =
-          sub.radius() == view.radius
-              ? sub.accept(scratch)
-              : sub.accept(
-                    restrict_view(scratch, scratch.proofs, sub.radius()));
+      // Each slice is consumed by exactly one component: move it.
+      scratch.proofs.assign(std::move(slices[static_cast<std::size_t>(j)]));
+      const bool ok = sub.radius() == view.radius
+                          ? sub.accept(scratch)
+                          : sub.accept(restrict_view(scratch, sub.radius()));
       if (!ok) return false;
     }
     return true;
@@ -91,7 +92,7 @@ class PaddedVerifier final : public LocalVerifier {
 
   bool accept(const View& view) const override {
     if (view.radius <= base_->radius()) return base_->accept(view);
-    return base_->accept(restrict_view(view, view.proofs, base_->radius()));
+    return base_->accept(restrict_view(view, base_->radius()));
   }
 
  private:
@@ -136,12 +137,8 @@ class RelabelVerifier final : public LocalVerifier {
   int radius() const override { return base_->radius(); }
 
   bool accept(const View& view) const override {
-    View mapped;
-    mapped.ball = relabelled_copy(view.ball, *map_);
-    mapped.center = view.center;
-    mapped.radius = view.radius;
-    mapped.proofs = view.proofs;
-    mapped.dist = view.dist;
+    View mapped = view;
+    mapped.ball = Ball(relabelled_copy(view.ball.to_graph(), *map_));
     return base_->accept(mapped);
   }
 

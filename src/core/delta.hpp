@@ -44,6 +44,27 @@
 
 namespace lcp {
 
+/// One structural or label mutation of the host graph: a compact mirror
+/// of MutationBatch::Op without the proof payload.  DeltaTracker records
+/// one per applied op, in order, so consumers holding graph replicas (the
+/// sharded engine's per-shard local graphs) can replay them.  `u`/`v` are
+/// host dense indices; for kAddNode, `u` is the index the node received.
+struct ViewDelta {
+  enum class Kind {
+    kNodeLabel,
+    kEdgeLabel,
+    kEdgeWeight,
+    kAddEdge,
+    kRemoveEdge,
+    kAddNode,
+  };
+  Kind kind = Kind::kNodeLabel;
+  int u = -1;
+  int v = -1;
+  std::uint64_t label = 0;
+  std::int64_t weight = 0;
+};
+
 /// An ordered list of mutations against one (Graph, Proof) pair.  Edges are
 /// addressed by their endpoints' dense indices (edge indices are unstable
 /// across removals).  Mutations are applied in recording order.
@@ -145,8 +166,8 @@ class MutationBatch {
 struct DirtyRecord {
   /// The tracker generation *after* this batch was applied.
   std::uint64_t generation = 0;
-  /// Nodes whose proof label changed (only their ball-containing centres
-  /// can change verdict, and only proofs need refreshing).
+  /// Nodes whose proof label changed (only the centres whose balls hold
+  /// them can change verdict).
   std::vector<int> proof_nodes;
   /// Nodes incident to a node-label / edge-label / edge-weight change
   /// (containing centres must re-extract their view).
@@ -154,18 +175,17 @@ struct DirtyRecord {
   /// Centres whose radius-`horizon` ball changed under edge insertions/
   /// removals: those whose ball contains both endpoints, expanded by the
   /// tracker's stepwise BFS (sorted, deduplicated).  These centres must
-  /// re-extract and repair any inverted ball index.
+  /// re-extract; label and proof epicentres dirty the radius-r BFS around
+  /// them instead (ball symmetry: u is in B_r(c) iff c is in B_r(u)).
   std::vector<int> structural_dirty;
   /// Dense indices of nodes appended by this batch (ascending).  They are
   /// also members of structural_dirty; consumers with per-node caches must
   /// grow them before processing the dirty sets.
   std::vector<int> added_nodes;
   /// The batch's graph mutations in application order (proof flips are
-  /// omitted — proof_nodes carries them, and proofs refresh from the final
-  /// state).  Consumers holding cached views replay these through
-  /// View::apply_delta to patch balls in place instead of re-extracting;
-  /// the sorted dirty sets above remain the source of truth for consumers
-  /// that do not patch.
+  /// omitted — proof_nodes carries them).  Consumers holding graph
+  /// replicas replay these; the sorted dirty sets above name the centres
+  /// whose verdicts may change.
   std::vector<ViewDelta> deltas;
 };
 

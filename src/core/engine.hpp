@@ -5,22 +5,23 @@
 // an engineering choice independent of the semantics, so it is factored
 // into an ExecutionEngine interface with interchangeable backends:
 //
-//   - DirectEngine: sequential induced-ball extraction through a reusable
-//     ViewExtractor, plus an optional view cache keyed on the host graph's
-//     fingerprint and the verifier radius — repeated runs over the same
-//     graphs (exhaustive proof search, gluing/symmetry attack loops) reuse
-//     the extracted balls and only refresh proof labels.  The cache holds
-//     several graphs (LRU), so loops that alternate between two instances
-//     (the gluing attack's C(a,b) pairs) don't thrash it.
+//   - DirectEngine: the stateless sequential sweep — one BFS per node into
+//     a reused flat view (core/view.hpp), nothing kept between runs.
 //   - MessagePassingEngine (local/message_passing.hpp): explicit LOCAL-model
 //     flooding rounds; the reference semantics for the equivalence tests.
-//   - ParallelEngine: shards nodes across a persistent worker pool.  Views
-//     are read-only over const Graph&/const Proof&, so the sweep is
+//   - ParallelEngine: the same sweep with contiguous node ranges on a
+//     persistent worker pool, one reused extractor per lane.  Views are
+//     read-only over const Graph&/const Proof&, so the sweep is
 //     embarrassingly parallel; results are deterministic and identical to
 //     DirectEngine's.
-//   - IncrementalEngine (core/incremental.hpp): caches per-node verdicts
+//   - IncrementalEngine (core/incremental.hpp): keeps per-node verdicts
 //     and, fed graph/proof deltas through a DeltaTracker (core/delta.hpp),
-//     re-verifies only the nodes whose balls intersect the change.
+//     re-extracts and re-verifies only the centres whose balls the change
+//     touched.
+//
+// No engine caches views: by ball symmetry the centres a change can flip
+// are the radius-r BFS around it, and a flat extraction costs about as
+// much as the bookkeeping a cache needs to stay exact.
 //
 // All engines must produce bit-identical RunResults on the same input; the
 // differential oracle in tests/test_engine_oracle.cpp holds every engine
@@ -28,15 +29,15 @@
 #ifndef LCP_CORE_ENGINE_HPP_
 #define LCP_CORE_ENGINE_HPP_
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
-#include "core/ball_store.hpp"
 #include "core/proof.hpp"
 #include "core/verifier.hpp"
 #include "core/view.hpp"
@@ -82,8 +83,7 @@ struct RunResult {
 /// Diffs successive RunResults over one (graph, verifier) binding into
 /// the flip lists above.  Engines hold one instance and call finish() at
 /// the end of every run: O(|rejecting| + |previous rejecting|), no
-/// per-node state, so it survives cache overflows and fallback sweeps —
-/// exactly the paths that used to lose per-centre attribution.
+/// per-node state, so it survives fallback sweeps.
 class VerdictAttribution {
  public:
   /// Populates `result`'s flip fields against the previous run when the
@@ -100,7 +100,7 @@ class VerdictAttribution {
 };
 
 /// Strategy interface: evaluate verifier `a` at every node of g under
-/// proof p.  Engines may keep internal caches/scratch between runs, hence
+/// proof p.  Engines may keep verdicts/scratch between runs, hence
 /// the non-const run(); a single engine instance must not be shared across
 /// threads without external synchronisation (engines may parallelise
 /// internally, as ParallelEngine does).
@@ -131,7 +131,7 @@ class ExecutionEngine {
   /// Offers a telemetry sink (obs/telemetry.hpp); nullptr detaches.  An
   /// engine that opts in adapts its live Stats counters into the sink's
   /// MetricRegistry as derived gauges under "engine.<name>." (plus any
-  /// pool/store/transport gauges it owns) and emits trace spans around its
+  /// pool/transport gauges it owns) and emits trace spans around its
   /// phases.  Implementations must withdraw their derived gauges — from
   /// the previously attached registry on re-attach/detach, and in their
   /// destructor — so a registry can safely outlive the engine.  The
@@ -144,9 +144,9 @@ class ExecutionEngine {
   virtual obs::Telemetry* attached_telemetry() const { return nullptr; }
 
   /// Offers a flight-recorder journal (obs/journal.hpp); nullptr
-  /// detaches.  An engine that opts in emits structured events (patch
-  /// fallbacks, halo exchanges, lane dispatches, cache overflows) while
-  /// attached.  The default backend ignores journals.
+  /// detaches.  An engine that opts in emits structured events (halo
+  /// exchanges, lane dispatches) while attached.  The default backend
+  /// ignores journals.
   virtual void attach_journal(obs::Journal* journal) { (void)journal; }
 
   /// The journal currently attached, if the engine consumes one.
@@ -179,160 +179,94 @@ class TrackerAttachment {
 };
 
 /// A 64-bit structural fingerprint of a graph: ids, node labels, edges,
-/// edge labels and weights.  Two graphs with equal fingerprints are treated
-/// as identical by DirectEngine's view cache.
+/// edge labels and weights.  IncrementalEngine's content path keys its
+/// verdicts on it.
 std::uint64_t graph_fingerprint(const Graph& g);
 
-/// The plain sequential sweep every engine bottoms out in: a stack-local
-/// extractor, no caching, re-entrant and stateless.  Shared by
-/// DirectEngine's uncached/overflow paths, ParallelEngine's small-n path,
-/// and IncrementalEngine's fallbacks, so the reference semantics live in
+/// Per-thread scratch for evaluating a verifier at many centres: one
+/// ViewExtractor plus a small chunk of reused flat views, so accept_batch
+/// sees materialised views and a warm instance allocates nothing per
+/// ball.  Not thread-safe: engines keep one per thread.
+class CentreVerifier {
+ public:
+  /// out[i] = A(g, p, centre_at(i)) ? 1 : 0 for i in [0, count), in order.
+  template <class CentreAt>
+  void verify(const Graph& g, const Proof& p, const LocalVerifier& a,
+              std::size_t count, CentreAt centre_at, std::uint8_t* out) {
+    extractor_.bind(g);
+    const int radius = a.radius();
+    for (std::size_t base = 0; base < count; base += kChunk) {
+      const std::size_t k = std::min(kChunk, count - base);
+      for (std::size_t i = 0; i < k; ++i) {
+        extractor_.extract_into(p, centre_at(base + i), radius, views_[i]);
+        ptrs_[i] = &views_[i];
+      }
+      a.accept_batch(ptrs_.data(), k, out + base);
+    }
+  }
+
+  /// The contiguous centres [lo, hi): out[v - lo] is v's verdict.
+  void verify_range(const Graph& g, const Proof& p, const LocalVerifier& a,
+                    int lo, int hi, std::uint8_t* out) {
+    verify(g, p, a, static_cast<std::size_t>(hi - lo),
+           [lo](std::size_t i) { return lo + static_cast<int>(i); }, out);
+  }
+
+  /// The radius-r BFS around v in g (see ViewExtractor::ball_members).
+  const std::vector<int>& ball_members(const Graph& g, int v, int radius) {
+    extractor_.bind(g);
+    return extractor_.ball_members(v, radius);
+  }
+
+ private:
+  static constexpr std::size_t kChunk = 16;
+  ViewExtractor extractor_;
+  std::array<View, kChunk> views_;
+  std::array<const View*, kChunk> ptrs_{};
+};
+
+/// The plain sequential sweep every engine bottoms out in, on the caller's
+/// CentreVerifier.  DirectEngine is this sweep; the other engines use it
+/// for small graphs and fallbacks, so the reference semantics live in
 /// exactly one place.
+RunResult sweep_sequential(const Graph& g, const Proof& p,
+                           const LocalVerifier& a, CentreVerifier& lane);
+
+/// As above on a stack-local CentreVerifier: re-entrant and stateless, at
+/// the price of warming fresh scratch on every call.
 RunResult sweep_sequential(const Graph& g, const Proof& p,
                            const LocalVerifier& a);
 
-struct DirectEngineOptions {
-  /// Keep extracted views between runs, keyed on (fingerprint, radius).
-  bool cache_views = true;
-  /// Drop LRU entries when the summed ball sizes across all cached graphs
-  /// exceed this bound (protects against O(n^2) memory on dense graphs
-  /// with large radii).
-  std::size_t max_cached_ball_nodes = std::size_t{1} << 22;
-  /// Number of distinct (graph, radius) entries kept; least recently used
-  /// entries are evicted first.
-  std::size_t max_cached_graphs = 4;
-  /// Optional shared ball store (core/ball_store.hpp).  When set, the
-  /// engine publishes the balls it extracts and adopts balls other engines
-  /// published for the same (fingerprint, radius) — adoption shares the
-  /// underlying views (copy-on-write), so a warm sweep by one engine makes
-  /// the next engine's first run extraction-free.
-  std::shared_ptr<BallStore> store = nullptr;
-};
-
-/// Counters for the tracker-assisted cache migration (see attach_tracker).
-struct DirectEngineStats {
-  std::uint64_t migrations = 0;      ///< entries rekeyed to a new fingerprint
-  std::uint64_t migrated_views = 0;  ///< views kept or patched in place
-  std::uint64_t migration_reextractions = 0;  ///< views rebuilt during one
-};
-
-/// The default backend: the seed's sequential semantics, re-implemented on
-/// the batched ViewExtractor (single BFS per node, ball-local edge
-/// assembly, reused scratch) with cross-run view caching.  The working set
-/// holds refcounted balls: entries adopted from (or published to) a shared
-/// BallStore alias the store's objects until the first proof refresh
-/// diverges the touched ball via copy-on-write.
-///
-/// With a DeltaTracker attached (attach_tracker), a cache miss against the
-/// tracker's bound graph no longer drops the stale entry: the dirty log
-/// since the entry's generation is replayed over the cached views —
-/// patching the balls the deltas touch in place, re-extracting only the
-/// fallbacks — and the entry is rekeyed to the new fingerprint.  Mutating
-/// loops (the transplant attacks, sessions) thus keep their warm cache
-/// across every batch instead of rebuilding it from scratch.
+/// The default backend: the seed's sequential semantics on the flat
+/// extractor (single BFS per node, ball-local edge assembly, reused
+/// views).  It keeps no verdicts, only its warm CentreVerifier and flip
+/// attribution.
 class DirectEngine final : public ExecutionEngine {
  public:
-  explicit DirectEngine(DirectEngineOptions options = {})
-      : options_(std::move(options)) {}
-  ~DirectEngine() override;
-
   std::string name() const override { return "direct"; }
   RunResult run(const Graph& g, const Proof& p,
                 const LocalVerifier& a) override;
 
-  /// Registers "engine.direct.*" (migration counters, cached_graphs) and,
-  /// when a shared store is attached, "store.ball.*" derived gauges.
-  void attach_telemetry(obs::Telemetry* telemetry) override;
-  obs::Telemetry* attached_telemetry() const override { return telemetry_; }
-
-  /// Emits patch-vs-reextract fallback and cache-overflow events while
-  /// attached.
-  void attach_journal(obs::Journal* journal) override { journal_ = journal; }
-  obs::Journal* attached_journal() const override { return journal_; }
-
-  /// Enables cache migration across fingerprints for the tracker's bound
-  /// graph.  Returns true (the dirty log is consumed) when view caching is
-  /// on; a non-caching engine has nothing to migrate and returns false.
-  bool attach_tracker(DeltaTracker* tracker) override;
-  DeltaTracker* attached_tracker() const override { return tracker_; }
-
-  /// Migration counters (cumulative; for tests and benches).
-  const DirectEngineStats& stats() const { return stats_; }
-
-  /// Number of (graph, radius) entries currently cached (for tests and
-  /// benches; the LRU policy is an implementation detail otherwise).
-  std::size_t cached_graph_count() const { return cache_.size(); }
-
-  /// The shared store, if one was attached (for tests).
-  const std::shared_ptr<BallStore>& store() const { return options_.store; }
-
  private:
-  struct CacheEntry {
-    std::uint64_t fingerprint = 0;
-    int radius = -1;
-    std::size_t ball_nodes = 0;
-    std::vector<BallPtr> views;
-    // Tracker lineage: when tracker_synced, the views were extracted from
-    // (or migrated to) the attached tracker's bound graph as of
-    // tracker_generation, so records_since(tracker_generation) is a
-    // complete account of how the graph diverged from this entry.
-    std::uint64_t tracker_generation = 0;
-    bool tracker_synced = false;
-  };
-  struct Overflow {
-    std::uint64_t fingerprint = 0;
-    int radius = -1;
-  };
-
-  CacheEntry* find_entry(std::uint64_t fingerprint, int radius);
-  void evict_to_budget(std::size_t incoming_entries);
-  RunResult run_from_entry(CacheEntry& entry, const Proof& p,
-                           const LocalVerifier& a);
-  /// Tries to migrate a tracker-synced entry to `fingerprint` by replaying
-  /// the dirty log over its views.  Returns the rekeyed entry (moved to the
-  /// cache front), or nullptr when no entry qualifies, the log was trimmed,
-  /// the graph mutated out of band, or the migrated balls blow the budget
-  /// (the entry is then dropped and the pair marked overflowed).
-  CacheEntry* migrate_entry(const Graph& g, const Proof& p, int radius,
-                            std::uint64_t fingerprint);
-  void remember_overflow(std::uint64_t fingerprint, int radius);
-
-  RunResult run_impl(const Graph& g, const Proof& p, const LocalVerifier& a);
-
-  DirectEngineOptions options_;
-  DeltaTracker* tracker_ = nullptr;
-  obs::Telemetry* telemetry_ = nullptr;
-  obs::Journal* journal_ = nullptr;
+  CentreVerifier lane_;
+  // A verifier may itself call into the default engine; a nested run
+  // sweeps on fresh scratch instead of the lane in use.
+  bool in_run_ = false;
   VerdictAttribution attribution_;
-  DirectEngineStats stats_;
-  ViewExtractor extractor_;
-  std::list<CacheEntry> cache_;  // most recently used first
-  std::size_t cached_ball_nodes_ = 0;
-  // (graph, radius) pairs whose summed ball sizes exceeded the cap: such
-  // graphs are swept uncached instead of rebuilding a doomed cache.
-  std::vector<Overflow> overflow_;
-  // Scratch for the batched accept path on cache hits.
-  std::vector<const View*> batch_views_;
-  std::vector<std::uint8_t> batch_out_;
 };
 
 /// Thread-pool backend: contiguous node ranges are verified concurrently,
-/// one ViewExtractor per worker.  Rejecting nodes are concatenated in
-/// shard order, so the RunResult is bit-identical to DirectEngine's.
-/// Requires the verifier's accept() to be thread-safe (all in-repo
-/// verifiers are).
+/// one CentreVerifier per lane, reused across runs.  Rejecting nodes are
+/// concatenated in shard order, so the RunResult is bit-identical to
+/// DirectEngine's.  Requires the verifier's accept() to be thread-safe
+/// (all in-repo verifiers are).
 ///
 /// The workers form a persistent pool, created lazily on the first
 /// parallel run and reused until destruction.
 class ParallelEngine final : public ExecutionEngine {
  public:
-  /// threads == 0 picks std::thread::hardware_concurrency().  When `store`
-  /// is set the engine publishes the balls its sweeps extract (it consumes
-  /// nothing itself — the store hands its warmth to the caching engines),
-  /// making a parallel sweep a cheap way to pre-warm an IncrementalEngine
-  /// or DirectEngine sharing the same store.
-  explicit ParallelEngine(int threads = 0,
-                          std::shared_ptr<BallStore> store = nullptr);
+  /// threads == 0 picks std::thread::hardware_concurrency().
+  explicit ParallelEngine(int threads = 0);
   ~ParallelEngine() override;
 
   ParallelEngine(const ParallelEngine&) = delete;
@@ -343,8 +277,7 @@ class ParallelEngine final : public ExecutionEngine {
                 const LocalVerifier& a) override;
 
   /// Registers "pool.parallel.*" lane gauges (once the persistent pool
-  /// exists — registration is lazy, at pool creation) and "store.ball.*"
-  /// when a store is attached.
+  /// exists — registration is lazy, at pool creation).
   void attach_telemetry(obs::Telemetry* telemetry) override;
   obs::Telemetry* attached_telemetry() const override { return telemetry_; }
 
@@ -359,18 +292,18 @@ class ParallelEngine final : public ExecutionEngine {
   RunResult run_impl(const Graph& g, const Proof& p, const LocalVerifier& a);
 
   int threads_;
-  std::shared_ptr<BallStore> store_;
   std::unique_ptr<WorkerPool> pool_;
+  std::vector<CentreVerifier> lanes_;  // one per worker
+  std::vector<std::uint8_t> verdicts_;
   obs::Telemetry* telemetry_ = nullptr;
   obs::Journal* journal_ = nullptr;
   VerdictAttribution attribution_;
 };
 
-/// The process-wide engine for one-off sweeps: a DirectEngine with caching
-/// off, so its run() is stateless, re-entrant, and retains no memory
-/// between calls (the seed's run_verifier semantics).  Loops that
-/// re-verify one graph under many proofs should hold their own caching
-/// DirectEngine (or an IncrementalEngine) instead.
+/// The process-wide engine for one-off sweeps: a DirectEngine, whose run()
+/// retains no views between calls (the seed's run_verifier semantics).
+/// Loops that re-verify one graph under many proofs should hold an
+/// IncrementalEngine instead.
 ExecutionEngine& default_engine();
 
 /// Factory by backend name: "direct", "message-passing", "parallel",

@@ -9,17 +9,6 @@
 
 namespace lcp {
 
-namespace {
-
-// dirty_mark_ bit layout: a centre may need a proof refresh, an in-place
-// patch verdict, and a re-extraction independently; re-extraction swallows
-// the other two (a fresh extraction reads current labels and proofs).
-constexpr std::uint8_t kProofDirty = 1;
-constexpr std::uint8_t kPatchedDirty = 2;
-constexpr std::uint8_t kReextractDirty = 4;
-
-}  // namespace
-
 IncrementalEngine::~IncrementalEngine() {
   if (telemetry_ != nullptr) telemetry_->metrics.remove_owned(this);
 }
@@ -44,23 +33,10 @@ void IncrementalEngine::attach_telemetry(obs::Telemetry* telemetry) {
                    stat(&Stats::nodes_reverified), this);
   registry.derived("engine.incremental.fallbacks", stat(&Stats::fallbacks),
                    this);
-  registry.derived("engine.incremental.views_patched",
-                   stat(&Stats::views_patched), this);
-  registry.derived("engine.incremental.patch_fallbacks",
-                   stat(&Stats::patch_fallbacks), this);
   registry.derived("engine.incremental.reextractions",
                    stat(&Stats::reextractions), this);
-  registry.derived("engine.incremental.store_adoptions",
-                   stat(&Stats::store_adoptions), this);
   registry.derived("engine.incremental.sharded_rounds",
                    stat(&Stats::sharded_rounds), this);
-  registry.derived(
-      "engine.incremental.cached_ball_nodes",
-      [this] { return static_cast<double>(cached_ball_nodes_); }, this);
-  if (options_.store != nullptr) {
-    register_ball_store_metrics(registry, options_.store, "store.ball",
-                                this);
-  }
   if (pool_ != nullptr) {
     pool_->register_metrics(registry, "pool.incremental", this);
   }
@@ -74,18 +50,14 @@ bool IncrementalEngine::attach_tracker(DeltaTracker* tracker) {
 }
 
 void IncrementalEngine::invalidate() {
-  cache_valid_ = false;
-  overflowed_ = false;
-  cache_from_tracker_ = false;
+  valid_ = false;
+  from_tracker_ = false;
   cached_verifier_ = nullptr;
   cached_radius_ = -1;
   cached_graph_fp_ = 0;
   cached_graph_fp_valid_ = false;
-  cache_.clear();
-  inverted_.clear();
   verdicts_.clear();
   last_proofs_.clear();
-  cached_ball_nodes_ = 0;
 }
 
 RunResult IncrementalEngine::result_from_verdicts() const {
@@ -102,9 +74,8 @@ RunResult IncrementalEngine::result_from_verdicts() const {
 RunResult IncrementalEngine::run(const Graph& g, const Proof& p,
                                  const LocalVerifier& a) {
   RunResult result = run_impl(g, p, a);
-  // Attribution lives outside the cached-verdict machinery on purpose: it
-  // diffs whole rejecting lists, so overflow fallbacks and uncached
-  // sweeps keep per-centre flips (the path that previously lost them).
+  // Attribution diffs whole rejecting lists, so full sweeps and fallbacks
+  // keep per-centre flips too.
   attribution_.finish(g, a, &result);
   return result;
 }
@@ -121,16 +92,6 @@ RunResult IncrementalEngine::run_impl(const Graph& g, const Proof& p,
   return run_content_path(g, p, a);
 }
 
-void IncrementalEngine::rebuild_inverted_index() {
-  const int n = static_cast<int>(cache_.size());
-  inverted_.assign(static_cast<std::size_t>(n), {});
-  for (int c = 0; c < n; ++c) {
-    for (int u : cache_[static_cast<std::size_t>(c)]->host) {
-      inverted_[static_cast<std::size_t>(u)].push_back(c);
-    }
-  }
-}
-
 RunResult IncrementalEngine::full_sweep(const Graph& g, const Proof& p,
                                         const LocalVerifier& a,
                                         std::uint64_t graph_fp) {
@@ -138,114 +99,39 @@ RunResult IncrementalEngine::full_sweep(const Graph& g, const Proof& p,
       obs::maybe_span(telemetry_, "incremental.full_sweep");
   ++stats_.full_sweeps;
   const int n = g.n();
-  const int radius = a.radius();
-
-  cache_.clear();
-  inverted_.assign(static_cast<std::size_t>(n), {});
+  valid_ = false;
   verdicts_.assign(static_cast<std::size_t>(n), 1);
-  last_proofs_ = p.labels;
-  cached_ball_nodes_ = 0;
-  overflowed_ = false;
-  cache_valid_ = false;
+  lanes_[0].verify_range(g, p, a, 0, n, verdicts_.data());
+  valid_ = true;
   cached_verifier_ = &a;
-  cached_radius_ = radius;
+  cached_radius_ = a.radius();
   cached_graph_fp_ = graph_fp;
   cached_graph_fp_valid_ = true;
-
-  RunResult result;
+  RunResult result = result_from_verdicts();
   result.evaluated = static_cast<std::uint64_t>(n);
-
-  // Adoption: a warm sweep another engine published for this exact
-  // (fingerprint, radius) replaces extraction outright.  The balls stay
-  // shared — refresh_ball_proofs COW-diverges only those whose proofs
-  // differ from p, so adopting under an identical proof copies nothing.
-  // `graph_fp` is always computed fresh by the callers (never the lazily
-  // invalidated cached_graph_fp_), so stale keys cannot reach the store.
-  if (options_.store != nullptr) {
-    std::vector<BallPtr> adopted;
-    std::size_t ball_nodes = 0;
-    if (options_.store->lookup(graph_fp, radius, &adopted, &ball_nodes) &&
-        static_cast<int>(adopted.size()) == n &&
-        ball_nodes <= options_.max_cached_ball_nodes) {
-      ++stats_.store_adoptions;
-      cache_ = std::move(adopted);
-      cached_ball_nodes_ = ball_nodes;
-      batch_views_.resize(static_cast<std::size_t>(n));
-      batch_out_.resize(static_cast<std::size_t>(n));
-      for (int v = 0; v < n; ++v) {
-        BallPtr& slot = cache_[static_cast<std::size_t>(v)];
-        refresh_ball_proofs(slot, p);
-        batch_views_[static_cast<std::size_t>(v)] = &slot->view;
-      }
-      a.accept_batch(batch_views_.data(), static_cast<std::size_t>(n),
-                     batch_out_.data());
-      for (int v = 0; v < n; ++v) {
-        const bool ok = batch_out_[static_cast<std::size_t>(v)] != 0;
-        verdicts_[static_cast<std::size_t>(v)] = ok ? 1 : 0;
-        if (!ok) {
-          result.all_accept = false;
-          result.rejecting.push_back(v);
-        }
-      }
-      rebuild_inverted_index();
-      cache_valid_ = true;
-      return result;
-    }
-  }
-
-  extractor_.bind(g);
-  cache_.reserve(static_cast<std::size_t>(n));
-  bool caching = true;
-  for (int v = 0; v < n; ++v) {
-    auto ball = std::make_shared<CachedNodeView>();
-    ball->view =
-        extractor_.extract(p, v, radius, caching ? &ball->host : nullptr);
-    const bool ok = a.accept(ball->view);
-    verdicts_[static_cast<std::size_t>(v)] = ok ? 1 : 0;
-    if (!ok) {
-      result.all_accept = false;
-      result.rejecting.push_back(v);
-    }
-    if (caching) {
-      cached_ball_nodes_ += ball->host.size();
-      if (cached_ball_nodes_ > options_.max_cached_ball_nodes) {
-        // Too dense to cache at this radius; remember that and sweep
-        // uncached until the binding or the radius changes.
-        caching = false;
-        overflowed_ = true;
-        cache_.clear();
-        cache_.shrink_to_fit();
-        inverted_.clear();
-        obs::maybe_emit(journal_, obs::JournalEventKind::kCacheOverflow,
-                        "engine.incremental", {{"radius", radius}});
-      } else {
-        cache_.push_back(std::move(ball));
-      }
-    }
-  }
-  if (caching) {
-    rebuild_inverted_index();
-    cache_valid_ = true;
-    if (options_.store != nullptr) {
-      // Shared handles, not copies; see the adoption comment above.
-      options_.store->publish(graph_fp, radius, cache_, cached_ball_nodes_);
-    }
-  }
   return result;
 }
 
+void IncrementalEngine::mark(int c) {
+  std::uint64_t& seen = dirty_epoch_[static_cast<std::size_t>(c)];
+  if (seen == epoch_) return;
+  seen = epoch_;
+  dirty_.push_back(c);
+}
+
+void IncrementalEngine::mark_ball(const Graph& g, int u, int radius) {
+  for (int c : lanes_[0].ball_members(g, u, radius)) mark(c);
+}
+
 void IncrementalEngine::reverify(const Graph& g, const Proof& p,
-                                 const LocalVerifier& a,
-                                 const std::vector<int>& reextract_centers,
-                                 const std::vector<int>& patched_centers,
-                                 const std::vector<int>& proof_dirty) {
-  const int radius = cached_radius_;
-  const std::size_t count =
-      reextract_centers.size() + patched_centers.size() + proof_dirty.size();
+                                 const LocalVerifier& a) {
+  const obs::TraceRecorder::Span span =
+      obs::maybe_span(telemetry_, "incremental.verify");
+  const std::size_t count = dirty_.size();
+  out_.resize(count);
+  const auto centre_at = [this](std::size_t i) { return dirty_[i]; };
   const int workers = options_.shard_threads;
-  const bool shard = workers > 1 && count >= options_.shard_min_centers &&
-                     count >= 2;
-  if (shard) {
+  if (workers > 1 && count >= options_.shard_min_centers && count >= 2) {
     if (pool_ == nullptr || pool_->size() < workers) {
       pool_ = std::make_unique<WorkerPool>(workers);
       if (telemetry_ != nullptr) {
@@ -255,136 +141,54 @@ void IncrementalEngine::reverify(const Graph& g, const Proof& p,
                                 this);
       }
     }
+    const int active =
+        std::min({workers, pool_->size(), static_cast<int>(count)});
+    if (static_cast<int>(lanes_.size()) < active) {
+      lanes_.resize(static_cast<std::size_t>(active));
+    }
     ++stats_.sharded_rounds;
     obs::maybe_emit(journal_, obs::JournalEventKind::kLaneDispatch,
                     "engine.incremental",
-                    {{"lanes", workers},
+                    {{"lanes", active},
                      {"centers", static_cast<std::int64_t>(count)}});
-  }
-
-  if (!reextract_centers.empty()) {
-    const obs::TraceRecorder::Span reextract_span =
-        obs::maybe_span(telemetry_, "incremental.reextract");
-    // Unhook the centres from their old balls' inverted lists first; the
-    // extractions themselves are independent (each writes only its own
-    // slot), so they shard cleanly.  Replacing the slot's pointer outright
-    // needs no COW: any other owner keeps the old ball alive unchanged.
-    for (int c : reextract_centers) {
-      const BallPtr& slot = cache_[static_cast<std::size_t>(c)];
-      for (int u : slot->host) {
-        auto& list = inverted_[static_cast<std::size_t>(u)];
-        for (std::size_t i = 0; i < list.size(); ++i) {
-          if (list[i] == c) {
-            list[i] = list.back();
-            list.pop_back();
-            break;
-          }
-        }
-      }
-      cached_ball_nodes_ -= slot->host.size();
-    }
-    const int m = static_cast<int>(reextract_centers.size());
-    if (shard && m >= 2) {
-      const int active = std::min({workers, pool_->size(), m});
-      const std::function<void(int)> job = [&](int w) {
-        const int lo =
-            static_cast<int>(static_cast<long long>(m) * w / active);
-        const int hi =
-            static_cast<int>(static_cast<long long>(m) * (w + 1) / active);
-        ViewExtractor extractor(g);
-        for (int i = lo; i < hi; ++i) {
-          const int c = reextract_centers[static_cast<std::size_t>(i)];
-          auto ball = std::make_shared<CachedNodeView>();
-          ball->view = extractor.extract(p, c, radius, &ball->host);
-          cache_[static_cast<std::size_t>(c)] = std::move(ball);
-        }
-      };
-      pool_->dispatch(active, job);
-    } else {
-      extractor_.bind(g);
-      for (int c : reextract_centers) {
-        auto ball = std::make_shared<CachedNodeView>();
-        ball->view = extractor_.extract(p, c, radius, &ball->host);
-        cache_[static_cast<std::size_t>(c)] = std::move(ball);
-      }
-    }
-    for (int c : reextract_centers) {
-      const BallPtr& slot = cache_[static_cast<std::size_t>(c)];
-      cached_ball_nodes_ += slot->host.size();
-      for (int u : slot->host) {
-        inverted_[static_cast<std::size_t>(u)].push_back(c);
-      }
-    }
-    stats_.reextractions += reextract_centers.size();
-  }
-  // Patched balls carry current structure but possibly stale proofs when a
-  // proof flip rode along in the same batch; the refresh is equality-gated
-  // so it costs a comparison when nothing changed.
-  for (int c : patched_centers) {
-    refresh_ball_proofs(cache_[static_cast<std::size_t>(c)], p);
-  }
-  for (int c : proof_dirty) {
-    refresh_ball_proofs(cache_[static_cast<std::size_t>(c)], p);
-  }
-
-  const obs::TraceRecorder::Span verify_span =
-      obs::maybe_span(telemetry_, "incremental.verify");
-  batch_views_.clear();
-  batch_views_.reserve(count);
-  for (const std::vector<int>* list :
-       {&reextract_centers, &patched_centers, &proof_dirty}) {
-    for (int c : *list) {
-      batch_views_.push_back(&cache_[static_cast<std::size_t>(c)]->view);
-    }
-  }
-  batch_out_.resize(count);
-  if (shard) {
-    const int active =
-        std::min({workers, pool_->size(), static_cast<int>(count)});
     const std::function<void(int)> job = [&](int w) {
       const std::size_t lo = count * static_cast<std::size_t>(w) /
                              static_cast<std::size_t>(active);
       const std::size_t hi = count * (static_cast<std::size_t>(w) + 1) /
                              static_cast<std::size_t>(active);
-      a.accept_batch(batch_views_.data() + lo, hi - lo,
-                     batch_out_.data() + lo);
+      lanes_[static_cast<std::size_t>(w)].verify(
+          g, p, a, hi - lo, [&](std::size_t i) { return centre_at(lo + i); },
+          out_.data() + lo);
     };
     pool_->dispatch(active, job);
   } else {
-    a.accept_batch(batch_views_.data(), count, batch_out_.data());
+    lanes_[0].verify(g, p, a, count, centre_at, out_.data());
   }
-  std::size_t i = 0;
-  for (const std::vector<int>* list :
-       {&reextract_centers, &patched_centers, &proof_dirty}) {
-    for (int c : *list) {
-      verdicts_[static_cast<std::size_t>(c)] = batch_out_[i++];
-    }
+  for (std::size_t i = 0; i < count; ++i) {
+    verdicts_[static_cast<std::size_t>(dirty_[i])] = out_[i];
   }
   stats_.nodes_reverified += count;
+  stats_.reextractions += count;
 }
 
 RunResult IncrementalEngine::run_tracker_path(const Graph& g, const Proof& p,
                                               const LocalVerifier& a) {
   const int n = g.n();
   const int radius = a.radius();
-
-  if (overflowed_ && radius == cached_radius_) {
-    ++stats_.full_sweeps;
-    consumed_generation_ = tracker_->generation();
-    return sweep_sequential(g, p, a);
-  }
+  // The content diff's baseline does not follow tracker runs.
+  last_proofs_.clear();
 
   auto rebuild = [&] {
     RunResult result = full_sweep(g, p, a, graph_fingerprint(g));
-    cache_from_tracker_ = true;
+    from_tracker_ = true;
     consumed_generation_ = tracker_->generation();
     return result;
   };
 
-  // cache_from_tracker_ guards against an interleaved content-path run on
-  // a foreign graph having rebuilt the cache: those verdicts belong to the
-  // other graph even when n and radius coincide.
-  if (!cache_valid_ || !cache_from_tracker_ || radius != cached_radius_ ||
+  // from_tracker_ guards against an interleaved content-path run on a
+  // foreign graph: those verdicts belong to the other graph even when n
+  // and radius coincide.
+  if (!valid_ || !from_tracker_ || radius != cached_radius_ ||
       &a != cached_verifier_) {
     return rebuild();
   }
@@ -402,10 +206,9 @@ RunResult IncrementalEngine::run_tracker_path(const Graph& g, const Proof& p,
     tracker_->resync();
     return rebuild();
   }
-  // Node additions grow the cache in place.  Every added node sits in its
-  // record's structural_dirty set (and arrives as a kAddNode delta), so
-  // the passes below fill the fresh slots; any size drift the records
-  // cannot account for means the cache belongs to another state.
+  // Every added node sits in its record's structural_dirty set, so the
+  // scan below verifies it; any size drift the records cannot account for
+  // means the verdicts belong to another state.
   std::size_t added = 0;
   for (const DirtyRecord* record : *records) {
     added += record->added_nodes.size();
@@ -414,162 +217,38 @@ RunResult IncrementalEngine::run_tracker_path(const Graph& g, const Proof& p,
     ++stats_.fallbacks;
     return rebuild();
   }
-  if (added > 0) {
-    cache_.resize(static_cast<std::size_t>(n));
-    for (std::size_t v = verdicts_.size(); v < cache_.size(); ++v) {
-      // Placeholder until the kAddNode delta (patching) or re-extraction
-      // (legacy path) materialises the real ball.
-      cache_[v] = std::make_shared<CachedNodeView>();
-    }
-    inverted_.resize(static_cast<std::size_t>(n));
-    verdicts_.resize(static_cast<std::size_t>(n), 1);
-    last_proofs_.resize(static_cast<std::size_t>(n));
-  }
+  verdicts_.resize(static_cast<std::size_t>(n), 1);
   if (records->empty()) {
     ++stats_.unchanged_runs;
     return result_from_verdicts();
   }
 
-  // Merge the records into per-centre dirtiness bits via the inverted
-  // index; ascending centre order at the end keeps the round
-  // deterministic.
+  // Structural centres come from the tracker's stepwise BFS; label and
+  // proof epicentres dirty the radius-r BFS around them on the final
+  // graph, which by ball symmetry is every centre whose final ball holds
+  // them.  (A centre whose ball changed shape is structural already.)
   obs::TraceRecorder::Span dirty_scan_span =
       obs::maybe_span(telemetry_, "incremental.dirty_scan");
-  dirty_mark_.assign(static_cast<std::size_t>(n), 0);
-  dirty_scratch_.clear();
-  auto mark = [&](int c, std::uint8_t bits) {
-    std::uint8_t& m = dirty_mark_[static_cast<std::size_t>(c)];
-    if (m == 0) dirty_scratch_.push_back(c);
-    m |= bits;
-  };
+  dirty_epoch_.resize(static_cast<std::size_t>(n), 0);
+  ++epoch_;
+  dirty_.clear();
   bool graph_changed = false;
-
-  if (options_.patch_views) {
-    // Replay the ops against the cached balls.  Classification consults
-    // only the view itself plus host ids, so replaying against the final
-    // graph state is sound; each patch keeps the ball's membership (and
-    // hence the inverted index) exact, and any delta that would move a
-    // frontier demotes the centre to re-extraction from the final state.
-    if (op_epoch_.size() < static_cast<std::size_t>(n)) {
-      op_epoch_.resize(static_cast<std::size_t>(n), 0);
-    }
-    for (const DirtyRecord* record : *records) {
-      for (const ViewDelta& d : record->deltas) {
-        graph_changed = true;
-        if (d.kind == ViewDelta::Kind::kAddNode) {
-          const int v = d.u;
-          auto ball = std::make_shared<CachedNodeView>();
-          ball->view = make_isolated_view(g, p, v, radius);
-          ball->host.push_back(v);
-          cache_[static_cast<std::size_t>(v)] = std::move(ball);
-          cached_ball_nodes_ += 1;
-          inverted_[static_cast<std::size_t>(v)].push_back(v);
-          mark(v, kPatchedDirty);
-          continue;
-        }
-        ++op_epoch_counter_;
-        auto visit = [&](int epicentre) {
-          for (int c : inverted_[static_cast<std::size_t>(epicentre)]) {
-            std::uint64_t& seen = op_epoch_[static_cast<std::size_t>(c)];
-            if (seen == op_epoch_counter_) continue;
-            seen = op_epoch_counter_;
-            if (dirty_mark_[static_cast<std::size_t>(c)] & kReextractDirty) {
-              continue;  // re-extracts from the final state anyway
-            }
-            BallPtr& slot = cache_[static_cast<std::size_t>(c)];
-            switch (slot->view.classify_delta(g, d)) {
-              case PatchResult::kUnchanged:
-                break;
-              case PatchResult::kPatched:
-                exclusive_ball(slot).view.apply_delta_unchecked(g, d);
-                ++stats_.views_patched;
-                mark(c, kPatchedDirty);
-                break;
-              case PatchResult::kFallback:
-                ++stats_.patch_fallbacks;
-                mark(c, kReextractDirty);
-                break;
-            }
-          }
-        };
-        visit(d.u);
-        if (d.kind != ViewDelta::Kind::kNodeLabel) visit(d.v);
-      }
-      for (int u : record->proof_nodes) {
-        for (int c : inverted_[static_cast<std::size_t>(u)]) {
-          mark(c, kProofDirty);
-        }
-      }
-    }
-  } else {
-    for (const DirtyRecord* record : *records) {
-      for (int u : record->proof_nodes) {
-        for (int c : inverted_[static_cast<std::size_t>(u)]) {
-          mark(c, kProofDirty);
-        }
-      }
-      for (int u : record->relabeled_nodes) {
-        for (int c : inverted_[static_cast<std::size_t>(u)]) {
-          mark(c, kReextractDirty);
-        }
-      }
-      for (int c : record->structural_dirty) mark(c, kReextractDirty);
-      graph_changed = graph_changed || !record->relabeled_nodes.empty() ||
-                      !record->structural_dirty.empty();
-    }
-  }
-
-  std::sort(dirty_scratch_.begin(), dirty_scratch_.end());
-  std::vector<int> reextract;
-  std::vector<int> patched;
-  std::vector<int> proof_dirty;
-  for (int c : dirty_scratch_) {
-    const std::uint8_t m = dirty_mark_[static_cast<std::size_t>(c)];
-    if (m & kReextractDirty) {
-      reextract.push_back(c);
-    } else if (m & kPatchedDirty) {
-      patched.push_back(c);
-    } else {
-      proof_dirty.push_back(c);
-    }
-  }
-
-  dirty_scan_span.close();
-  if (!reextract.empty()) {
-    obs::maybe_emit(
-        journal_, obs::JournalEventKind::kPatchFallback, "engine.incremental",
-        {{"reextracted", static_cast<std::int64_t>(reextract.size())},
-         {"patched", static_cast<std::int64_t>(patched.size())},
-         {"proof_dirty", static_cast<std::int64_t>(proof_dirty.size())}});
-  }
-  reverify(g, p, a, reextract, patched, proof_dirty);
-  if (cached_ball_nodes_ > options_.max_cached_ball_nodes) {
-    // Edge churn grew the balls past the cap: abandon the cache.
-    overflowed_ = true;
-    cache_valid_ = false;
-    cache_.clear();
-    cache_.shrink_to_fit();
-    inverted_.clear();
-    ++stats_.full_sweeps;
-    consumed_generation_ = tracker_->generation();
-    obs::maybe_emit(journal_, obs::JournalEventKind::kCacheOverflow,
-                    "engine.incremental", {{"radius", radius}});
-    return sweep_sequential(g, p, a);
-  }
-
   for (const DirtyRecord* record : *records) {
-    for (int u : record->proof_nodes) {
-      last_proofs_[static_cast<std::size_t>(u)] =
-          p.labels[static_cast<std::size_t>(u)];
-    }
+    for (int c : record->structural_dirty) mark(c);
+    for (int u : record->relabeled_nodes) mark_ball(g, u, radius);
+    for (int u : record->proof_nodes) mark_ball(g, u, radius);
+    graph_changed = graph_changed || !record->deltas.empty();
   }
+  std::sort(dirty_.begin(), dirty_.end());
+  dirty_scan_span.close();
+
+  reverify(g, p, a);
   if (graph_changed) cached_graph_fp_valid_ = false;
   consumed_generation_ = tracker_->generation();
-  last_dirty_centers_ = dirty_scratch_;  // sorted above: stable ordering
+  last_dirty_centers_ = dirty_;  // sorted above: stable ordering
   ++stats_.incremental_runs;
   RunResult result = result_from_verdicts();
-  result.evaluated = static_cast<std::uint64_t>(
-      reextract.size() + patched.size() + proof_dirty.size());
+  result.evaluated = static_cast<std::uint64_t>(dirty_.size());
   return result;
 }
 
@@ -579,25 +258,22 @@ RunResult IncrementalEngine::run_content_path(const Graph& g, const Proof& p,
   const int radius = a.radius();
   const std::uint64_t fp = graph_fingerprint(g);
 
-  if (overflowed_ && cached_graph_fp_valid_ && fp == cached_graph_fp_ &&
-      radius == cached_radius_ && &a == cached_verifier_) {
-    ++stats_.full_sweeps;
-    return sweep_sequential(g, p, a);
-  }
-  if (!cache_valid_ || !cached_graph_fp_valid_ || fp != cached_graph_fp_ ||
+  if (!valid_ || !cached_graph_fp_valid_ || fp != cached_graph_fp_ ||
       radius != cached_radius_ || &a != cached_verifier_ ||
       static_cast<int>(last_proofs_.size()) != n ||
       static_cast<int>(p.labels.size()) != n) {
     RunResult result = full_sweep(g, p, a, fp);
-    cache_from_tracker_ = false;
+    last_proofs_ = p.labels;
+    from_tracker_ = false;
     return result;
   }
 
   // Exact proof diff against the retained copy.  The copy is only
   // committed after reverify() succeeds: a throwing verifier must not
   // leave future diffs blind to this mutation.
-  dirty_mark_.assign(static_cast<std::size_t>(n), 0);
-  dirty_scratch_.clear();
+  dirty_epoch_.resize(static_cast<std::size_t>(n), 0);
+  ++epoch_;
+  dirty_.clear();
   std::vector<int> changed_nodes;
   for (int v = 0; v < n; ++v) {
     if (p.labels[static_cast<std::size_t>(v)] ==
@@ -605,31 +281,26 @@ RunResult IncrementalEngine::run_content_path(const Graph& g, const Proof& p,
       continue;
     }
     changed_nodes.push_back(v);
-    for (int c : inverted_[static_cast<std::size_t>(v)]) {
-      if (!dirty_mark_[static_cast<std::size_t>(c)]) {
-        dirty_mark_[static_cast<std::size_t>(c)] = kProofDirty;
-        dirty_scratch_.push_back(c);
-      }
-    }
+    mark_ball(g, v, radius);
   }
   if (changed_nodes.empty()) {
     ++stats_.unchanged_runs;
     return result_from_verdicts();
   }
-  std::sort(dirty_scratch_.begin(), dirty_scratch_.end());
-  reverify(g, p, a, {}, {}, dirty_scratch_);
+  std::sort(dirty_.begin(), dirty_.end());
+  reverify(g, p, a);
   for (int v : changed_nodes) {
     last_proofs_[static_cast<std::size_t>(v)] =
         p.labels[static_cast<std::size_t>(v)];
   }
-  // The cached verdicts now reflect this (possibly foreign) proof, not the
+  // The verdicts now reflect this (possibly foreign) proof, not the
   // tracker's bound pair — identical-content graphs share a fingerprint,
   // so the tracker path must resweep rather than trust them.
-  cache_from_tracker_ = false;
-  last_dirty_centers_ = dirty_scratch_;  // sorted above: stable ordering
+  from_tracker_ = false;
+  last_dirty_centers_ = dirty_;  // sorted above: stable ordering
   ++stats_.incremental_runs;
   RunResult result = result_from_verdicts();
-  result.evaluated = static_cast<std::uint64_t>(dirty_scratch_.size());
+  result.evaluated = static_cast<std::uint64_t>(dirty_.size());
   return result;
 }
 

@@ -147,19 +147,13 @@ VerificationSession::Builder& VerificationSession::Builder::engine(
   if (backend == "spotcheck" || backend.rfind("spotcheck:", 0) == 0) {
     // Validate eagerly so a typo throws here, not at build(); the spec
     // string is kept verbatim because the inner engine's construction
-    // depends on builder state (engine_options, store) not yet final.
+    // depends on builder state (engine_options) not yet final.
     parse_spotcheck_spec(backend);
     spotcheck_spec_ = std::string(backend);
     return chosen(EngineKind::kSpotCheck);
   }
   throw std::invalid_argument("VerificationSession: unknown backend '" +
                               std::string(backend) + "'");
-}
-
-VerificationSession::Builder& VerificationSession::Builder::store(
-    std::shared_ptr<BallStore> store) {
-  store_ = std::move(store);
-  return *this;
 }
 
 VerificationSession::Builder& VerificationSession::Builder::maintain(
@@ -261,39 +255,19 @@ VerificationSession::VerificationSession(Builder&& b)
         "VerificationSession: no scheme configured");
   }
 
-  // Remember which store the journal should attach to before the switch
-  // moves b.store_ into the engine's options.
-  std::shared_ptr<BallStore> store_ref = b.store_;
-  if (store_ref == nullptr && (b.kind_ == EngineKind::kIncremental ||
-                               b.kind_ == EngineKind::kSpotCheck)) {
-    store_ref = b.incremental_options_.store;
-  }
-
   switch (b.kind_) {
-    case EngineKind::kDirect: {
-      DirectEngineOptions options;
-      options.store = std::move(b.store_);
-      // One cached (graph, radius) entry: repeat verify() of unchanged
-      // state stays extraction-free, while a mutating session doesn't
-      // retain stale ball snapshots for fingerprints that will never
-      // recur (the multi-graph LRU exists for alternating-graph loops,
-      // which a session — bound to one live graph — never runs).
-      options.max_cached_graphs = 1;
-      engine_ = std::make_unique<DirectEngine>(std::move(options));
+    case EngineKind::kDirect:
+      engine_ = std::make_unique<DirectEngine>();
       break;
-    }
     case EngineKind::kMessagePassing:
       engine_ = make_engine("message-passing");
       break;
     case EngineKind::kParallel:
-      engine_ = std::make_unique<ParallelEngine>(/*threads=*/0,
-                                                 std::move(b.store_));
+      engine_ = std::make_unique<ParallelEngine>();
       break;
     case EngineKind::kIncremental: {
-      IncrementalEngineOptions options = std::move(b.incremental_options_);
-      if (b.store_ != nullptr) options.store = std::move(b.store_);
       auto incremental =
-          std::make_unique<IncrementalEngine>(std::move(options));
+          std::make_unique<IncrementalEngine>(b.incremental_options_);
       incremental_ = incremental.get();
       engine_ = std::move(incremental);
       break;
@@ -301,8 +275,7 @@ VerificationSession::VerificationSession(Builder&& b)
     case EngineKind::kSharded: {
       ShardedEngineOptions options = std::move(b.sharded_options_);
       // The session routes every mutation through its tracker, so the
-      // per-run state-fingerprint recompute buys nothing.  b.store_ is
-      // ignored: shard stores are private (owned-position layout).
+      // per-run state-fingerprint recompute buys nothing.
       options.verify_state = false;
       engine_ = std::make_unique<ShardedEngine>(std::move(options));
       break;
@@ -319,13 +292,11 @@ VerificationSession::VerificationSession(Builder&& b)
         spec.options = *b.spotcheck_options_;
       }
       // The inner engine gets the same treatment the bare kinds do, so
-      // wrapping doesn't silently drop engine_options() or store().
+      // wrapping doesn't silently drop engine_options().
       std::unique_ptr<ExecutionEngine> inner;
       if (spec.inner == "incremental") {
-        IncrementalEngineOptions options = std::move(b.incremental_options_);
-        if (b.store_ != nullptr) options.store = std::move(b.store_);
         auto incremental =
-            std::make_unique<IncrementalEngine>(std::move(options));
+            std::make_unique<IncrementalEngine>(b.incremental_options_);
         incremental_ = incremental.get();
         inner = std::move(incremental);
       } else if (spec.inner == "sharded" ||
@@ -367,13 +338,6 @@ VerificationSession::VerificationSession(Builder&& b)
   if (journal_ != nullptr) {
     engine_->attach_journal(journal_.get());
     if (maintainer_ != nullptr) maintainer_->attach_journal(journal_.get());
-    // The sharded backend ignores shared stores; everyone else gets the
-    // store's adopt/publish events.  Remember the attachment so the
-    // destructor can sever it — shared stores outlive the session.
-    if (store_ref != nullptr && b.kind_ != EngineKind::kSharded) {
-      journal_store_ = std::move(store_ref);
-      journal_store_->attach_journal(journal_.get());
-    }
   }
 
   if (telemetry_ != nullptr) {
@@ -416,8 +380,6 @@ VerificationSession::~VerificationSession() {
   // withdraws its own when it is destroyed, before telemetry_ (declared
   // first, destroyed last) releases the registry.
   if (telemetry_ != nullptr) telemetry_->metrics.remove_owned(this);
-  // A shared store outlives the session (and possibly its journal).
-  if (journal_store_ != nullptr) journal_store_->attach_journal(nullptr);
 }
 
 void VerificationSession::reprove(MutationBatch* applied_diff) {

@@ -3,16 +3,15 @@
 //
 // The subsystems that grew around the paper's static semantics — execution
 // engines (core/engine.hpp), delta tracking (core/delta.hpp), incremental
-// re-verification (core/incremental.hpp), shared ball stores
-// (core/ball_store.hpp), and dynamic proof maintenance (src/dynamic/) —
-// each have their own wiring, and before this facade every bench, example
-// and test assembled them slightly differently.  A session owns the whole
+// re-verification (core/incremental.hpp), and dynamic proof maintenance
+// (src/dynamic/) — each have their own wiring, and before this facade
+// every bench, example and test assembled them slightly differently.  A
+// session owns the whole
 // stack around one live (Graph, Proof) pair and is built fluently:
 //
 //   auto session = VerificationSession::on(std::move(graph))
 //                      .scheme("leader-election & maximal-matching")
 //                      .engine(EngineKind::kIncremental)
-//                      .store(shared_store)
 //                      .maintain(true)
 //                      .build();
 //   RunResult r = session.apply(batch);   // mutate -> repair -> verify
@@ -45,7 +44,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/ball_store.hpp"
 #include "core/delta.hpp"
 #include "core/engine.hpp"
 #include "core/incremental.hpp"
@@ -99,7 +97,7 @@ struct SessionStats {
 /// A digest of the session's latency telemetry (empty when telemetry is
 /// off): nearest-rank percentiles of apply() wall time plus a per-phase
 /// breakdown, all in microseconds.  The full registry (engine counters,
-/// store rates, pool lanes) is reachable through telemetry_sink().
+/// pool lanes) is reachable through telemetry_sink().
 struct SessionTelemetry {
   struct Phase {
     std::string name;       ///< "mutate", "repair", "reprove", "verify"
@@ -139,31 +137,25 @@ class VerificationSession {
     /// "spotcheck[:BUDGET[:inner]]").
     Builder& engine(std::string_view backend);
 
-    /// Shared ball store for cross-engine view reuse (ignored by the
-    /// message-passing backend, which extracts nothing).
-    Builder& store(std::shared_ptr<BallStore> store);
-
     /// Resolve a ProofMaintainer for the scheme through the registry and
     /// repair certificates on apply() instead of reproving.
     Builder& maintain(bool on = true);
     /// Binds an explicit maintainer instead of resolving one.
     Builder& maintainer(std::unique_ptr<dynamic::ProofMaintainer> m);
 
-    /// Options for the incremental backend (the store() setter overrides
-    /// the embedded store field).  verify_state defaults OFF: the session
-    /// owns the pair and routes every mutation through its tracker.
+    /// Options for the incremental backend.  verify_state defaults OFF:
+    /// the session owns the pair and routes every mutation through its
+    /// tracker.
     Builder& engine_options(IncrementalEngineOptions options);
 
     /// Options for the sharded backend.  verify_state is forced OFF at
-    /// build() for the same reason; store() is ignored by this backend —
-    /// its per-shard stores are keyed on owned-position layouts no other
-    /// engine produces.
+    /// build() for the same reason.
     Builder& sharded_options(ShardedEngineOptions options);
 
     /// Options for the spot-check backend (seed, weights, budget).
     /// Overrides the budget parsed from an engine("spotcheck:...") spec;
     /// the inner backend still comes from the spec (default incremental,
-    /// which honours engine_options() and store()).
+    /// which honours engine_options()).
     Builder& spotcheck_options(SpotCheckOptions options);
 
     /// Registry used by scheme(expr) and maintain(); defaults to
@@ -183,7 +175,7 @@ class VerificationSession {
 
     /// Attaches a flight-recorder journal (obs/journal.hpp) to the whole
     /// stack: the session's apply() pipeline, the engine (and its
-    /// transport, for the sharded backend), the ball store, and the
+    /// transport, for the sharded backend), and the
     /// maintainer all emit structured events into it.  Sharing one
     /// journal across sessions interleaves them (events carry labels).
     Builder& journal(std::shared_ptr<obs::Journal> journal);
@@ -213,7 +205,6 @@ class VerificationSession {
     const Scheme* external_scheme_ = nullptr;
     std::unique_ptr<Scheme> owned_scheme_;
     EngineKind kind_ = EngineKind::kIncremental;
-    std::shared_ptr<BallStore> store_;
     bool maintain_ = false;
     std::unique_ptr<dynamic::ProofMaintainer> maintainer_;
     IncrementalEngineOptions incremental_options_{.verify_state = false};
@@ -296,7 +287,7 @@ class VerificationSession {
 
   /// The attached telemetry bundle, nullptr when disabled.  The registry
   /// snapshot (telemetry_sink()->snapshot_json()) carries every layer:
-  /// session phases, engine counters, store rates, pool lanes.
+  /// session phases, engine counters, pool lanes.
   obs::Telemetry* telemetry_sink() { return telemetry_.get(); }
   /// Percentile apply latency and per-phase breakdown; `enabled` is false
   /// (and everything zero) when no telemetry is attached.
@@ -367,9 +358,6 @@ class VerificationSession {
   bool forensics_ = false;
   obs::ForensicsOptions forensics_options_;
   std::string engine_name_;  // make_engine spelling, for reports
-  // The store the journal was attached to; detached in the destructor
-  // because shared stores outlive the session (and its journal).
-  std::shared_ptr<BallStore> journal_store_;
   bool last_all_accept_ = true;
   std::optional<obs::RejectionReport> last_rejection_;
   // Recent repairs with the nodes they touched, so a report can count

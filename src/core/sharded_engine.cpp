@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -42,17 +41,6 @@ void register_transport_metrics(obs::MetricRegistry& registry,
       },
       owner);
 }
-
-namespace {
-
-// Same per-centre dirtiness lattice as IncrementalEngine: re-extraction
-// swallows the in-place marks (a fresh extraction reads final labels and
-// proofs).
-constexpr std::uint8_t kProofDirty = 1;
-constexpr std::uint8_t kPatchedDirty = 2;
-constexpr std::uint8_t kReextractDirty = 4;
-
-}  // namespace
 
 std::shared_ptr<Partitioner> make_partitioner(std::string_view name) {
   if (name == "range") return std::make_shared<RangePartitioner>();
@@ -122,23 +110,18 @@ struct ShardedEngine::Shard {
   // and any boundary-relevant op must trigger a halo rebuild.
   bool depths_stale = false;
 
-  // --- Per-centre cache (indexed by owned position) ----------------------
-  std::vector<BallPtr> balls;
+  // local index -> owned position, -1 for ghosts.
+  std::vector<int> local_pos;
+
+  // --- Per-centre verdicts (indexed by owned position) --------------------
   std::vector<std::uint8_t> verdicts;
   std::vector<int> reject_pos;  // owned positions with verdict 0, ascending
-  std::vector<std::uint64_t> op_epoch;
-  std::uint64_t op_epoch_counter = 0;
-  std::size_t ball_nodes = 0;
-  std::unique_ptr<BallStore> store;
-  ViewExtractor extractor;
-  // Host member -> centre owned-positions whose ball contains it.
-  // Host-keyed (not local-keyed) so it survives ghost renumbering across
-  // halo rebuilds and node growth.
-  std::unordered_map<int, std::vector<int>> inverted;
+  CentreVerifier lane;
 
   // --- Per-run routing state (coordinator writes, lane reads) ------------
   std::vector<ViewDelta> pending_ops;   // graph deltas with a local endpoint
   std::vector<int> pending_proofs;      // owned hosts with changed proofs
+  std::vector<int> pending_centres;     // owned hosts the tracker dirtied
   bool needs_halo = false;              // fringe may have moved: re-exchange
   bool rebuilt = false;                 // skeleton+halo rebuilt this run
   bool touched = false;                 // lane must run this round
@@ -153,22 +136,16 @@ struct ShardedEngine::Shard {
   std::vector<HaloMessage> held;
 
   // --- Lane scratch -------------------------------------------------------
-  std::vector<int> dirty_list;
-  std::vector<std::uint8_t> dirty_mark;  // per owned position
-  std::vector<int> reextract;
-  std::vector<int> patched;
-  std::vector<int> proof_dirty;
-  std::vector<const View*> batch_views;
-  std::vector<std::uint8_t> batch_out;
+  std::vector<int> epicentres;  // local indices whose r-ball is dirty
+  std::vector<int> dirty_list;  // owned positions, ascending once sorted
+  std::vector<std::uint64_t> dirty_epoch;  // per owned position
+  std::uint64_t epoch = 0;
+  std::vector<std::uint8_t> out;
   std::size_t last_dirty = 0;
 
-  // Per-run counters, summed into Stats by the coordinator after the
+  // Per-run counter, summed into Stats by the coordinator after the
   // dispatch returns (lanes must not touch shared stats).
-  std::uint64_t ctr_patched = 0;
-  std::uint64_t ctr_fallbacks = 0;
-  std::uint64_t ctr_reextract = 0;
   std::uint64_t ctr_reverified = 0;
-  std::uint64_t ctr_adoptions = 0;
 
   // Dense host -> local map, -1 when absent.  Sized to the host node count.
   std::vector<int> host_to_local;
@@ -201,39 +178,12 @@ void ShardedEngine::attach_telemetry(obs::Telemetry* telemetry) {
                    this);
   registry.derived("engine.sharded.nodes_reverified",
                    stat(&Stats::nodes_reverified), this);
-  registry.derived("engine.sharded.views_patched",
-                   stat(&Stats::views_patched), this);
-  registry.derived("engine.sharded.patch_fallbacks",
-                   stat(&Stats::patch_fallbacks), this);
   registry.derived("engine.sharded.reextractions",
                    stat(&Stats::reextractions), this);
   registry.derived("engine.sharded.halo_rebuilds",
                    stat(&Stats::halo_rebuilds), this);
   registry.derived("engine.sharded.shards_woken",
                    stat(&Stats::shards_woken), this);
-  registry.derived("engine.sharded.store_adoptions",
-                   stat(&Stats::store_adoptions), this);
-  // Aggregates over the per-shard stores (each shard owns a private
-  // BallStore; summing at snapshot time keeps lanes free of shared
-  // counters).
-  const auto shard_store_sum =
-      [this](std::uint64_t BallStoreStats::*field) {
-        return [this, field] {
-          std::uint64_t total = 0;
-          for (const auto& shard : shards_) {
-            if (shard->store != nullptr) total += shard->store->stats().*field;
-          }
-          return static_cast<double>(total);
-        };
-      };
-  registry.derived("store.shard.hits",
-                   shard_store_sum(&BallStoreStats::hits), this);
-  registry.derived("store.shard.misses",
-                   shard_store_sum(&BallStoreStats::misses), this);
-  registry.derived("store.shard.publishes",
-                   shard_store_sum(&BallStoreStats::publishes), this);
-  registry.derived("store.shard.evictions",
-                   shard_store_sum(&BallStoreStats::evictions), this);
   if (k_ > 0) register_runtime_metrics();
 }
 
@@ -290,11 +240,6 @@ void ShardedEngine::ensure_configured() {
   for (int s = 0; s < k_; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->index = s;
-    BallStoreOptions store_options;
-    store_options.max_ball_nodes = std::max<std::size_t>(
-        1, options_.max_cached_ball_nodes / static_cast<std::size_t>(k_));
-    store_options.max_entries = 2;
-    shard->store = std::make_unique<BallStore>(store_options);
     shards_.push_back(std::move(shard));
   }
   register_runtime_metrics();
@@ -310,9 +255,6 @@ bool ShardedEngine::attach_tracker(DeltaTracker* tracker) {
 void ShardedEngine::invalidate() {
   cache_valid_ = false;
   cache_from_tracker_ = false;
-  overflowed_ = false;
-  overflow_fp_ = 0;
-  overflow_radius_ = -1;
   cached_verifier_ = nullptr;
   cached_radius_ = -1;
   cached_graph_fp_ = 0;
@@ -327,11 +269,9 @@ void ShardedEngine::invalidate() {
     shard->host_to_local.clear();
     shard->depth.clear();
     shard->local_proof = Proof();
-    shard->balls.clear();
+    shard->local_pos.clear();
     shard->verdicts.clear();
     shard->reject_pos.clear();
-    shard->inverted.clear();
-    shard->ball_nodes = 0;
   }
 }
 
@@ -358,7 +298,7 @@ RunResult ShardedEngine::run(const Graph& g, const Proof& p,
     result = run_impl(g, p, a);
   } catch (...) {
     // A throwing verifier (or transport) can leave shard state half
-    // updated; drop the caches so the next run rebuilds from scratch.
+    // updated; drop it so the next run rebuilds from scratch.
     invalidate();
     throw;
   }
@@ -402,6 +342,7 @@ void ShardedEngine::reset_shard_skeleton(const Graph& g, const Proof& p,
   sh.local_to_host.clear();
   sh.depth.clear();
   sh.local_proof = Proof();
+  sh.local_pos.clear();
   sh.depths_stale = false;
   sh.requested.clear();
   sh.round_requests.assign(static_cast<std::size_t>(k_), {});
@@ -411,6 +352,7 @@ void ShardedEngine::reset_shard_skeleton(const Graph& g, const Proof& p,
     const int l = sh.local.add_node(g.id(host), g.label(host));
     sh.host_to_local[static_cast<std::size_t>(host)] = l;
     sh.local_to_host.push_back(host);
+    sh.local_pos.push_back(l);
     sh.depth.push_back(0);
     sh.local_proof.labels.push_back(p.labels[static_cast<std::size_t>(host)]);
   }
@@ -527,6 +469,7 @@ void ShardedEngine::exchange_halos(const Graph& g, const Proof& p, int radius,
           const int l = sh.local.add_node(rec.id, rec.label);
           sh.host_to_local[static_cast<std::size_t>(rec.host)] = l;
           sh.local_to_host.push_back(rec.host);
+          sh.local_pos.push_back(-1);
           sh.depth.push_back(round);
           sh.local_proof.labels.push_back(rec.proof);
           for (const HaloNeighbor& nb : rec.neighbors) {
@@ -567,69 +510,19 @@ void ShardedEngine::exchange_halos(const Graph& g, const Proof& p, int radius,
 // Full rebuild
 // ---------------------------------------------------------------------------
 
-void ShardedEngine::lane_extract_all(const Graph& g, const Proof& p,
-                                     const LocalVerifier& a,
-                                     std::uint64_t fingerprint, Shard& sh) {
-  (void)g;  // extraction reads the local replica, never the host
-  const int radius = a.radius();
-  const int count = static_cast<int>(sh.owned.size());
-  sh.balls.assign(static_cast<std::size_t>(count), nullptr);
-  sh.verdicts.assign(static_cast<std::size_t>(count), 1);
+void ShardedEngine::lane_sweep(const LocalVerifier& a, Shard& sh) {
+  // Extraction reads the local replica, never the host.
+  const std::size_t count = sh.owned.size();
+  sh.verdicts.assign(count, 1);
   sh.reject_pos.clear();
-  sh.op_epoch.assign(static_cast<std::size_t>(count), 0);
-  sh.op_epoch_counter = 0;
-  sh.inverted.clear();
-  sh.ball_nodes = 0;
-
-  // Adoption: a previous rebuild of the same (fingerprint, radius) pair —
-  // same partition, because the partitioner is deterministic — can serve
-  // the whole shard from its store.  Ball host arrays carry host indices,
-  // so the layout survives ghost renumbering.
-  std::vector<BallPtr> adopted;
-  std::size_t adopted_nodes = 0;
-  if (sh.store->lookup(fingerprint, radius, &adopted, &adopted_nodes) &&
-      static_cast<int>(adopted.size()) == count) {
-    ++sh.ctr_adoptions;
-    sh.balls = std::move(adopted);
-    sh.ball_nodes = adopted_nodes;
-    for (int c = 0; c < count; ++c) {
-      refresh_ball_proofs(sh.balls[static_cast<std::size_t>(c)], p);
-    }
-  } else {
-    sh.extractor.bind(sh.local);
-    std::vector<int> local_hosts;
-    for (int c = 0; c < count; ++c) {
-      // Right after the skeleton build, owned position == local index.
-      auto ball = std::make_shared<CachedNodeView>();
-      ball->view = sh.extractor.extract(sh.local_proof, c, radius,
-                                        &local_hosts);
-      ball->host.reserve(local_hosts.size());
-      for (int l : local_hosts) {
-        ball->host.push_back(sh.local_to_host[static_cast<std::size_t>(l)]);
-      }
-      sh.ball_nodes += ball->host.size();
-      sh.balls[static_cast<std::size_t>(c)] = std::move(ball);
-    }
-    sh.store->publish(fingerprint, radius, sh.balls, sh.ball_nodes);
-  }
-  for (int c = 0; c < count; ++c) {
-    for (int host : sh.balls[static_cast<std::size_t>(c)]->host) {
-      sh.inverted[host].push_back(c);
-    }
-  }
-
-  sh.batch_views.assign(static_cast<std::size_t>(count), nullptr);
-  sh.batch_out.assign(static_cast<std::size_t>(count), 0);
-  for (int c = 0; c < count; ++c) {
-    sh.batch_views[static_cast<std::size_t>(c)] =
-        &sh.balls[static_cast<std::size_t>(c)]->view;
-  }
-  a.accept_batch(sh.batch_views.data(), static_cast<std::size_t>(count),
-                 sh.batch_out.data());
-  for (int c = 0; c < count; ++c) {
-    const bool ok = sh.batch_out[static_cast<std::size_t>(c)] != 0;
-    sh.verdicts[static_cast<std::size_t>(c)] = ok ? 1 : 0;
-    if (!ok) sh.reject_pos.push_back(c);
+  sh.lane.verify(
+      sh.local, sh.local_proof, a, count,
+      [&sh](std::size_t c) {
+        return sh.host_to_local[static_cast<std::size_t>(sh.owned[c])];
+      },
+      sh.verdicts.data());
+  for (std::size_t c = 0; c < count; ++c) {
+    if (!sh.verdicts[c]) sh.reject_pos.push_back(static_cast<int>(c));
   }
 }
 
@@ -640,7 +533,7 @@ RunResult ShardedEngine::full_rebuild(const Graph& g, const Proof& p,
   ++stats_.full_sweeps;
   const int n = g.n();
   const int radius = a.radius();
-  const std::uint64_t fp = graph_fingerprint(g);
+  cache_valid_ = false;
 
   partitioner_->bind(g, k_);
   owner_.assign(static_cast<std::size_t>(n), 0);
@@ -655,17 +548,9 @@ RunResult ShardedEngine::full_rebuild(const Graph& g, const Proof& p,
   std::vector<int> all(static_cast<std::size_t>(k_));
   for (int s = 0; s < k_; ++s) all[static_cast<std::size_t>(s)] = s;
   exchange_halos(g, p, radius, all);
-  dispatch_lanes([&](int s) {
-    lane_extract_all(g, p, a, fp, *shards_[static_cast<std::size_t>(s)]);
-  });
-
-  std::size_t total_ball_nodes = 0;
-  for (auto& shard : shards_) {
-    total_ball_nodes += shard->ball_nodes;
-    stats_.store_adoptions += shard->ctr_adoptions;
-    shard->ctr_adoptions = 0;
-    shard->rebuilt = false;
-  }
+  dispatch_lanes(
+      [&](int s) { lane_sweep(a, *shards_[static_cast<std::size_t>(s)]); });
+  for (auto& shard : shards_) shard->rebuilt = false;
 
   host_n_ = n;
   last_proofs_ = p.labels;
@@ -673,28 +558,12 @@ RunResult ShardedEngine::full_rebuild(const Graph& g, const Proof& p,
   proof_epoch_ = 0;
   cached_verifier_ = &a;
   cached_radius_ = radius;
-  cached_graph_fp_ = fp;
+  cached_graph_fp_ = graph_fingerprint(g);
   cached_graph_fp_valid_ = true;
   cache_valid_ = true;
-  overflowed_ = false;
 
   RunResult result = result_from_rejects(g);
   result.evaluated = static_cast<std::uint64_t>(n);
-
-  if (total_ball_nodes > options_.max_cached_ball_nodes) {
-    // Too dense to keep resident across the whole partition: remember the
-    // state we overflowed on and sweep plainly until it changes.
-    overflowed_ = true;
-    overflow_fp_ = fp;
-    overflow_radius_ = radius;
-    cache_valid_ = false;
-    cached_graph_fp_valid_ = false;
-    for (auto& shard : shards_) {
-      shard->balls.clear();
-      shard->inverted.clear();
-      shard->ball_nodes = 0;
-    }
-  }
   return result;
 }
 
@@ -702,8 +571,8 @@ RunResult ShardedEngine::full_rebuild(const Graph& g, const Proof& p,
 // Delta routing (coordinator side)
 // ---------------------------------------------------------------------------
 
-void ShardedEngine::route_delta(const Graph& g, const Proof& p,
-                                const ViewDelta& d, int radius) {
+void ShardedEngine::route_delta(const Graph& g, const ViewDelta& d,
+                                int radius) {
   if (d.kind == ViewDelta::Kind::kAddNode) {
     // The coordinator performs all node growth itself, sequentially:
     // later ops of the same batch may reference the new node, so every
@@ -720,23 +589,14 @@ void ShardedEngine::route_delta(const Graph& g, const Proof& p,
     const int l = sh.local.add_node(g.id(v), g.label(v));
     sh.host_to_local[static_cast<std::size_t>(v)] = l;
     sh.local_to_host.push_back(v);
+    sh.local_pos.push_back(static_cast<int>(sh.owned.size()));
     sh.depth.push_back(0);
+    // An added node starts with an empty proof label; a later proof op in
+    // the batch arrives through pending_proofs.  The tracker lists v as
+    // structurally dirty, so its owner verifies it this run.
     sh.local_proof.labels.push_back(BitString());
-    const int pos = static_cast<int>(sh.owned.size());
     sh.owned.push_back(v);
-    auto ball = std::make_shared<CachedNodeView>();
-    ball->view = make_isolated_view(g, p, v, radius);
-    ball->host.push_back(v);
-    sh.balls.push_back(std::move(ball));
-    sh.ball_nodes += 1;
     sh.verdicts.push_back(1);
-    sh.op_epoch.push_back(0);
-    sh.inverted[v].push_back(pos);
-    // The isolated ball snapshots p's current label for v; mark the centre
-    // so the lane reverifies it (and refreshes the proof if a later proof
-    // op in this batch changes it again).
-    sh.pending_ops.push_back(d);
-    sh.touched = true;
     ++host_n_;
     return;
   }
@@ -814,10 +674,9 @@ void ShardedEngine::route_delta(const Graph& g, const Proof& p,
             // Removing a boundary-region edge can push ghosts out of range
             // (their recorded depths become lower bounds no longer
             // realised).  Depths are now upper bounds only; any later
-            // boundary-relevant op must force a halo rebuild.  The balls
-            // themselves stay exact: extraction never leaves the radius-r
-            // ball, and members forced out of range demote their centres
-            // to re-extraction via classify_delta.
+            // boundary-relevant op must force a halo rebuild.  Extraction
+            // stays exact: it never leaves the radius-r ball, so ghosts
+            // left out of range are never read.
             sh.depths_stale = true;
           }
         }
@@ -882,278 +741,193 @@ void ShardedEngine::route_proofs(const Graph& g, const Proof& p,
 // Lane-side incremental replay
 // ---------------------------------------------------------------------------
 
-void ShardedEngine::lane_incremental(const Graph& g, const Proof& p,
-                                     const LocalVerifier& a, int radius,
-                                     Shard& sh) {
-  sh.dirty_list.clear();
-  if (sh.dirty_mark.size() < sh.owned.size()) {
-    sh.dirty_mark.resize(sh.owned.size(), 0);
-  }
-  auto mark = [&](int c, std::uint8_t bits) {
-    std::uint8_t& m = sh.dirty_mark[static_cast<std::size_t>(c)];
-    if (m == 0) sh.dirty_list.push_back(c);
-    m |= bits;
+void ShardedEngine::lane_incremental(const Proof& p, const LocalVerifier& a,
+                                     int radius, Shard& sh) {
+  const auto local_of = [&sh](int host) {
+    return host < static_cast<int>(sh.host_to_local.size())
+               ? sh.host_to_local[static_cast<std::size_t>(host)]
+               : -1;
   };
+  sh.epicentres.clear();
 
   // 1. Ghost proof patches from owner shards.  A patch for a host we no
   // longer hold locally (ghost dropped by a halo rebuild) is safely
-  // skipped: no surviving ball can contain a node outside the local set
-  // without its centre being re-extracted this round.
+  // skipped: no owned centre is within r of a node outside the local set.
   if (sh.has_patches) {
     HaloMessage msg;
     while (transport_->receive(sh.index, &msg)) {
       for (const ProofPatch& patch : msg.proofs) {
-        if (patch.host <
-                static_cast<int>(sh.host_to_local.size()) &&
-            sh.host_to_local[static_cast<std::size_t>(patch.host)] >= 0) {
-          sh.local_proof.labels[static_cast<std::size_t>(
-              sh.host_to_local[static_cast<std::size_t>(patch.host)])] =
-              patch.bits;
-          auto it = sh.inverted.find(patch.host);
-          if (it != sh.inverted.end()) {
-            for (int c : it->second) mark(c, kProofDirty);
-          }
-        }
+        const int l = local_of(patch.host);
+        if (l < 0) continue;
+        sh.local_proof.labels[static_cast<std::size_t>(l)] = patch.bits;
+        sh.epicentres.push_back(l);
       }
     }
     sh.has_patches = false;
   }
-  // 2. Owned proof changes.
+  // 2. Owned proof changes (`p` is the host proof; owned labels are ours).
   for (int u : sh.pending_proofs) {
-    const int l = sh.host_to_local[static_cast<std::size_t>(u)];
+    const int l = local_of(u);
     sh.local_proof.labels[static_cast<std::size_t>(l)] =
         p.labels[static_cast<std::size_t>(u)];
-    auto it = sh.inverted.find(u);
-    if (it != sh.inverted.end()) {
-      for (int c : it->second) mark(c, kProofDirty);
-    }
+    sh.epicentres.push_back(l);
   }
 
-  // 3. Ball replay, op order preserved.  classify_delta consults only the
-  // ball plus host ids, so the true host graph serves as the id oracle
-  // regardless of the local replica's state.
+  // 3. Reconcile the local replica with the routed ops and collect their
+  // label epicentres.  A shard whose halo was just rebuilt already holds
+  // the final state, so it only collects.  All ops are presence-checked
+  // because the replica may legitimately lack state the op mentions (e.g.
+  // an edge added then removed across rebuilds).
   for (const ViewDelta& d : sh.pending_ops) {
-    if (d.kind == ViewDelta::Kind::kAddNode) {
-      // Ball already materialised by the coordinator; the inverted entry
-      // holds exactly the new centre's position — just mark it for
-      // reverification.
-      auto it = sh.inverted.find(d.u);
-      if (it != sh.inverted.end()) {
-        for (int c : it->second) mark(c, kPatchedDirty);
+    const int lu = local_of(d.u);
+    const int lv = d.kind == ViewDelta::Kind::kNodeLabel ? -1 : local_of(d.v);
+    switch (d.kind) {
+      case ViewDelta::Kind::kNodeLabel:
+        if (lu < 0) break;
+        if (!sh.rebuilt) sh.local.set_label(lu, d.label);
+        sh.epicentres.push_back(lu);
+        break;
+      case ViewDelta::Kind::kAddEdge:
+        // Host insertion order is (d.u, d.v): the tracker applies
+        // add_edge(op.u, op.v), so the replica mirrors that direction.
+        if (!sh.rebuilt && lu >= 0 && lv >= 0 && !sh.local.has_edge(lu, lv)) {
+          sh.local.add_edge(lu, lv, d.label, d.weight);
+        }
+        break;
+      case ViewDelta::Kind::kRemoveEdge:
+        if (!sh.rebuilt && lu >= 0 && lv >= 0 && sh.local.has_edge(lu, lv)) {
+          sh.local.remove_edge(lu, lv);
+        }
+        break;
+      case ViewDelta::Kind::kEdgeLabel:
+      case ViewDelta::Kind::kEdgeWeight: {
+        if (lu < 0 || lv < 0) break;
+        const int e = sh.local.edge_index(lu, lv);
+        if (!sh.rebuilt && e >= 0) {
+          if (d.kind == ViewDelta::Kind::kEdgeLabel) {
+            sh.local.set_edge_label(e, d.label);
+          } else {
+            sh.local.set_edge_weight(e, d.weight);
+          }
+        }
+        sh.epicentres.push_back(lu);
+        break;
       }
-      continue;
-    }
-    ++sh.op_epoch_counter;
-    auto visit = [&](int epicentre) {
-      auto it = sh.inverted.find(epicentre);
-      if (it == sh.inverted.end()) return;
-      for (int c : it->second) {
-        std::uint64_t& seen = sh.op_epoch[static_cast<std::size_t>(c)];
-        if (seen == sh.op_epoch_counter) continue;
-        seen = sh.op_epoch_counter;
-        if (sh.dirty_mark[static_cast<std::size_t>(c)] & kReextractDirty) {
-          continue;  // re-extracts from the final local state anyway
-        }
-        BallPtr& slot = sh.balls[static_cast<std::size_t>(c)];
-        switch (slot->view.classify_delta(g, d)) {
-          case PatchResult::kUnchanged:
-            break;
-          case PatchResult::kPatched:
-            exclusive_ball(slot).view.apply_delta_unchecked(g, d);
-            ++sh.ctr_patched;
-            mark(c, kPatchedDirty);
-            break;
-          case PatchResult::kFallback:
-            ++sh.ctr_fallbacks;
-            mark(c, kReextractDirty);
-            break;
-        }
-      }
-    };
-    visit(d.u);
-    visit(d.v);
-  }
-
-  // 4. Reconcile the local replica with the routed ops.  A shard whose
-  // halo was just rebuilt already holds the final state — skip.  All ops
-  // are presence-checked because the replica may legitimately lack state
-  // the op mentions (e.g. an edge added then removed across rebuilds).
-  if (!sh.rebuilt) {
-    for (const ViewDelta& d : sh.pending_ops) {
-      const int lu = d.u < static_cast<int>(sh.host_to_local.size())
-                         ? sh.host_to_local[static_cast<std::size_t>(d.u)]
-                         : -1;
-      switch (d.kind) {
-        case ViewDelta::Kind::kNodeLabel:
-          if (lu >= 0) sh.local.set_label(lu, d.label);
-          break;
-        case ViewDelta::Kind::kAddEdge: {
-          const int lv =
-              d.v < static_cast<int>(sh.host_to_local.size())
-                  ? sh.host_to_local[static_cast<std::size_t>(d.v)]
-                  : -1;
-          // Host insertion order is (d.u, d.v): the tracker applies
-          // add_edge(op.u, op.v), so the replica mirrors that direction.
-          if (lu >= 0 && lv >= 0 && !sh.local.has_edge(lu, lv)) {
-            sh.local.add_edge(lu, lv, d.label, d.weight);
-          }
-          break;
-        }
-        case ViewDelta::Kind::kRemoveEdge: {
-          const int lv =
-              d.v < static_cast<int>(sh.host_to_local.size())
-                  ? sh.host_to_local[static_cast<std::size_t>(d.v)]
-                  : -1;
-          if (lu >= 0 && lv >= 0 && sh.local.has_edge(lu, lv)) {
-            sh.local.remove_edge(lu, lv);
-          }
-          break;
-        }
-        case ViewDelta::Kind::kEdgeLabel: {
-          const int lv =
-              d.v < static_cast<int>(sh.host_to_local.size())
-                  ? sh.host_to_local[static_cast<std::size_t>(d.v)]
-                  : -1;
-          if (lu >= 0 && lv >= 0) {
-            const int e = sh.local.edge_index(lu, lv);
-            if (e >= 0) sh.local.set_edge_label(e, d.label);
-          }
-          break;
-        }
-        case ViewDelta::Kind::kEdgeWeight: {
-          const int lv =
-              d.v < static_cast<int>(sh.host_to_local.size())
-                  ? sh.host_to_local[static_cast<std::size_t>(d.v)]
-                  : -1;
-          if (lu >= 0 && lv >= 0) {
-            const int e = sh.local.edge_index(lu, lv);
-            if (e >= 0) sh.local.set_edge_weight(e, d.weight);
-          }
-          break;
-        }
-        case ViewDelta::Kind::kAddNode:
-          break;  // coordinator already grew the replica
-      }
+      case ViewDelta::Kind::kAddNode:
+        break;  // the coordinator grew the replica; the node is structural
     }
   }
 
-  // 5. Partition the dirty set; ascending order keeps rounds deterministic.
+  // 4. The dirty owned centres on the final replica: the tracker's
+  // structural centres, plus the radius-r BFS around every label and
+  // proof epicentre (ball symmetry: an owned centre within r of a node
+  // reaches it through local nodes only).
+  sh.dirty_epoch.resize(sh.owned.size(), 0);
+  ++sh.epoch;
+  sh.dirty_list.clear();
+  const auto mark = [&sh](int pos) {
+    std::uint64_t& seen = sh.dirty_epoch[static_cast<std::size_t>(pos)];
+    if (seen == sh.epoch) return;
+    seen = sh.epoch;
+    sh.dirty_list.push_back(pos);
+  };
+  for (int c : sh.pending_centres) {
+    mark(sh.local_pos[static_cast<std::size_t>(local_of(c))]);
+  }
+  for (int l : sh.epicentres) {
+    for (int member : sh.lane.ball_members(sh.local, l, radius)) {
+      const int pos = sh.local_pos[static_cast<std::size_t>(member)];
+      if (pos >= 0) mark(pos);
+    }
+  }
   std::sort(sh.dirty_list.begin(), sh.dirty_list.end());
-  sh.reextract.clear();
-  sh.patched.clear();
-  sh.proof_dirty.clear();
-  for (int c : sh.dirty_list) {
-    const std::uint8_t m = sh.dirty_mark[static_cast<std::size_t>(c)];
-    if (m & kReextractDirty) {
-      sh.reextract.push_back(c);
-    } else if (m & kPatchedDirty) {
-      sh.patched.push_back(c);
-    } else {
-      sh.proof_dirty.push_back(c);
-    }
-  }
 
-  // 6. Re-extract demoted centres from the (now final) local replica.
-  if (!sh.reextract.empty()) {
-    sh.extractor.bind(sh.local);
-    std::vector<int> local_hosts;
-    for (int c : sh.reextract) {
-      BallPtr& slot = sh.balls[static_cast<std::size_t>(c)];
-      for (int host : slot->host) {
-        auto it = sh.inverted.find(host);
-        if (it == sh.inverted.end()) continue;
-        auto& list = it->second;
-        for (std::size_t i = 0; i < list.size(); ++i) {
-          if (list[i] == c) {
-            list[i] = list.back();
-            list.pop_back();
-            break;
-          }
-        }
-        if (list.empty()) sh.inverted.erase(it);
-      }
-      sh.ball_nodes -= slot->host.size();
-      const int centre_local =
-          sh.host_to_local[static_cast<std::size_t>(
-              sh.owned[static_cast<std::size_t>(c)])];
-      auto ball = std::make_shared<CachedNodeView>();
-      ball->view = sh.extractor.extract(sh.local_proof, centre_local, radius,
-                                        &local_hosts);
-      ball->host.reserve(local_hosts.size());
-      for (int l : local_hosts) {
-        ball->host.push_back(sh.local_to_host[static_cast<std::size_t>(l)]);
-      }
-      sh.ball_nodes += ball->host.size();
-      for (int host : ball->host) sh.inverted[host].push_back(c);
-      slot = std::move(ball);
-      ++sh.ctr_reextract;
-    }
-  }
-
-  // 7. Patched balls may carry proofs a same-batch flip staled; the
-  // refresh is equality-gated, so it costs a comparison when clean.  `p`
-  // is host-indexed and ball->host carries host indices, so the host proof
-  // is the right oracle here.
-  for (int c : sh.patched) {
-    refresh_ball_proofs(sh.balls[static_cast<std::size_t>(c)], p);
-  }
-  for (int c : sh.proof_dirty) {
-    refresh_ball_proofs(sh.balls[static_cast<std::size_t>(c)], p);
-  }
-
-  // 8. Batched reverification, verdict + reject set maintenance.
-  const std::size_t count =
-      sh.reextract.size() + sh.patched.size() + sh.proof_dirty.size();
-  sh.batch_views.clear();
-  sh.batch_views.reserve(count);
-  for (const std::vector<int>* list :
-       {&sh.reextract, &sh.patched, &sh.proof_dirty}) {
-    for (int c : *list) {
-      sh.batch_views.push_back(&sh.balls[static_cast<std::size_t>(c)]->view);
-    }
-  }
-  sh.batch_out.assign(count, 0);
-  a.accept_batch(sh.batch_views.data(), count, sh.batch_out.data());
-  std::size_t i = 0;
-  for (const std::vector<int>* list :
-       {&sh.reextract, &sh.patched, &sh.proof_dirty}) {
-    for (int c : *list) {
-      const bool ok = sh.batch_out[i++] != 0;
-      const bool was_ok = sh.verdicts[static_cast<std::size_t>(c)] != 0;
-      sh.verdicts[static_cast<std::size_t>(c)] = ok ? 1 : 0;
-      if (ok != was_ok) {
-        auto it = std::lower_bound(sh.reject_pos.begin(), sh.reject_pos.end(),
-                                   c);
-        if (ok) {
-          if (it != sh.reject_pos.end() && *it == c) sh.reject_pos.erase(it);
-        } else {
-          sh.reject_pos.insert(it, c);
-        }
+  // 5. Re-extract from the replica, re-verify, and maintain the verdicts
+  // and the reject set.
+  const std::size_t count = sh.dirty_list.size();
+  sh.out.resize(count);
+  sh.lane.verify(
+      sh.local, sh.local_proof, a, count,
+      [&](std::size_t i) {
+        return local_of(sh.owned[static_cast<std::size_t>(sh.dirty_list[i])]);
+      },
+      sh.out.data());
+  for (std::size_t i = 0; i < count; ++i) {
+    const int c = sh.dirty_list[i];
+    const bool ok = sh.out[i] != 0;
+    const bool was_ok = sh.verdicts[static_cast<std::size_t>(c)] != 0;
+    sh.verdicts[static_cast<std::size_t>(c)] = ok ? 1 : 0;
+    if (ok != was_ok) {
+      auto it = std::lower_bound(sh.reject_pos.begin(), sh.reject_pos.end(),
+                                 c);
+      if (ok) {
+        if (it != sh.reject_pos.end() && *it == c) sh.reject_pos.erase(it);
+      } else {
+        sh.reject_pos.insert(it, c);
       }
     }
   }
   sh.ctr_reverified += count;
   sh.last_dirty = count;
-
-  // 9. Clear the marks for the next round.
-  for (int c : sh.dirty_list) {
-    sh.dirty_mark[static_cast<std::size_t>(c)] = 0;
-  }
 }
 
 // ---------------------------------------------------------------------------
 // Tracker path
 // ---------------------------------------------------------------------------
 
+void ShardedEngine::reset_run_state() {
+  for (auto& shard : shards_) {
+    shard->pending_ops.clear();
+    shard->pending_proofs.clear();
+    shard->pending_centres.clear();
+    shard->needs_halo = false;
+    shard->rebuilt = false;
+    shard->touched = false;
+    shard->has_patches = false;
+    shard->last_dirty = 0;
+    shard->ctr_reverified = 0;
+  }
+}
+
+std::uint64_t ShardedEngine::run_lanes(const Proof& p, const LocalVerifier& a,
+                                       int radius) {
+  int touched = 0;
+  for (auto& shard : shards_) {
+    if (shard->touched) ++touched;
+  }
+  stats_.shards_woken += static_cast<std::uint64_t>(touched);
+  const obs::TraceRecorder::Span verify_span =
+      obs::maybe_span(telemetry_, "sharded.verify");
+  if (touched == 1) {
+    // One shard woke: run its lane inline on the coordinator thread and
+    // skip the pool round-trip entirely — the common case for
+    // interior-local churn.
+    for (auto& shard : shards_) {
+      if (shard->touched) lane_incremental(p, a, radius, *shard);
+    }
+  } else if (touched > 1) {
+    dispatch_lanes([&](int s) {
+      Shard& sh = *shards_[static_cast<std::size_t>(s)];
+      if (sh.touched) lane_incremental(p, a, radius, sh);
+    });
+  }
+
+  stats_.last_dirty_per_shard.assign(static_cast<std::size_t>(k_), 0);
+  std::uint64_t reverified = 0;
+  for (auto& shard : shards_) {
+    stats_.last_dirty_per_shard[static_cast<std::size_t>(shard->index)] =
+        shard->last_dirty;
+    reverified += shard->ctr_reverified;
+  }
+  stats_.nodes_reverified += reverified;
+  stats_.reextractions += reverified;
+  ++stats_.incremental_runs;
+  return reverified;
+}
+
 RunResult ShardedEngine::run_tracker_path(const Graph& g, const Proof& p,
                                           const LocalVerifier& a) {
   const int radius = a.radius();
-
-  if (overflowed_ && radius == overflow_radius_) {
-    ++stats_.full_sweeps;
-    consumed_generation_ = tracker_->generation();
-    return sweep_sequential(g, p, a);
-  }
 
   auto rebuild = [&] {
     RunResult result = full_rebuild(g, p, a);
@@ -1191,24 +965,11 @@ RunResult ShardedEngine::run_tracker_path(const Graph& g, const Proof& p,
     ++stats_.unchanged_runs;
     return result_from_rejects(g);
   }
-
-  // Reset per-run shard state.
-  for (auto& shard : shards_) {
-    shard->pending_ops.clear();
-    shard->pending_proofs.clear();
-    shard->needs_halo = false;
-    shard->rebuilt = false;
-    shard->touched = false;
-    shard->has_patches = false;
-    shard->last_dirty = 0;
-    shard->ctr_patched = 0;
-    shard->ctr_fallbacks = 0;
-    shard->ctr_reextract = 0;
-    shard->ctr_reverified = 0;
-  }
+  reset_run_state();
 
   // Phase A: route every graph delta, in order, to the shards with a local
-  // endpoint; collect the proof epicentres (deduplicated across records).
+  // endpoint and each structurally dirty centre to its owner; collect the
+  // proof epicentres (deduplicated across records).
   obs::TraceRecorder::Span route_span =
       obs::maybe_span(telemetry_, "sharded.route");
   bool graph_changed = false;
@@ -1217,7 +978,14 @@ RunResult ShardedEngine::run_tracker_path(const Graph& g, const Proof& p,
   for (const DirtyRecord* record : *records) {
     for (const ViewDelta& d : record->deltas) {
       graph_changed = true;
-      route_delta(g, p, d, radius);
+      route_delta(g, d, radius);
+    }
+    // After the record's deltas, so owner_ already covers added nodes.
+    for (int c : record->structural_dirty) {
+      Shard& sh = *shards_[static_cast<std::size_t>(
+          owner_[static_cast<std::size_t>(c)])];
+      sh.pending_centres.push_back(c);
+      sh.touched = true;
     }
     for (int u : record->proof_nodes) {
       std::uint64_t& seen = proof_seen_[static_cast<std::size_t>(u)];
@@ -1240,10 +1008,8 @@ RunResult ShardedEngine::run_tracker_path(const Graph& g, const Proof& p,
     exchange_halos(g, p, radius, halo_rebuilds);
     stats_.halo_rebuilds += halo_rebuilds.size();
     for (int s : halo_rebuilds) {
-      // The rebuilt replica has final labels/proofs but the cached balls
-      // predate the batch; replay still runs.  Ghosts may have been
-      // renumbered or dropped — the host-keyed inverted index and
-      // host-indexed ball arrays survive both.
+      // The rebuilt replica holds the final state; the lane still runs to
+      // collect the batch's dirty centres.
       shards_[static_cast<std::size_t>(s)]->touched = true;
     }
   }
@@ -1251,74 +1017,11 @@ RunResult ShardedEngine::run_tracker_path(const Graph& g, const Proof& p,
   // Phase C: ship proof patches (owner -> importer), then run the touched
   // lanes.
   route_proofs(g, p, proof_hosts_);
-
-  int touched = 0;
-  for (auto& shard : shards_) {
-    if (shard->touched) ++touched;
-  }
-  stats_.shards_woken += static_cast<std::uint64_t>(touched);
-  const obs::TraceRecorder::Span verify_span =
-      obs::maybe_span(telemetry_, "sharded.verify");
-  if (touched == 1) {
-    // One shard woke: run its lane inline on the coordinator thread and
-    // skip the pool round-trip entirely — the common case for
-    // interior-local churn.
-    for (auto& shard : shards_) {
-      if (shard->touched) lane_incremental(g, p, a, radius, *shard);
-    }
-  } else if (touched > 1) {
-    dispatch_lanes([&](int s) {
-      Shard& sh = *shards_[static_cast<std::size_t>(s)];
-      if (sh.touched) lane_incremental(g, p, a, radius, sh);
-    });
-  }
-
-  stats_.last_dirty_per_shard.assign(static_cast<std::size_t>(k_), 0);
-  std::size_t total_ball_nodes = 0;
-  std::uint64_t run_reverified = 0;
-  std::uint64_t run_fallbacks = 0;
-  std::uint64_t run_reextract = 0;
-  std::uint64_t run_patched = 0;
-  for (auto& shard : shards_) {
-    stats_.last_dirty_per_shard[static_cast<std::size_t>(shard->index)] =
-        shard->last_dirty;
-    stats_.views_patched += shard->ctr_patched;
-    stats_.patch_fallbacks += shard->ctr_fallbacks;
-    stats_.reextractions += shard->ctr_reextract;
-    stats_.nodes_reverified += shard->ctr_reverified;
-    run_patched += shard->ctr_patched;
-    run_fallbacks += shard->ctr_fallbacks;
-    run_reextract += shard->ctr_reextract;
-    run_reverified += shard->ctr_reverified;
-    total_ball_nodes += shard->ball_nodes;
-  }
-  if (run_reextract > 0 || run_fallbacks > 0) {
-    obs::maybe_emit(journal_, obs::JournalEventKind::kPatchFallback,
-                    "engine.sharded",
-                    {{"reextracted", static_cast<std::int64_t>(run_reextract)},
-                     {"patched", static_cast<std::int64_t>(run_patched)},
-                     {"fallbacks", static_cast<std::int64_t>(run_fallbacks)}});
-  }
-  if (total_ball_nodes > options_.max_cached_ball_nodes) {
-    overflowed_ = true;
-    overflow_fp_ = 0;  // unknown under the tracker; keyed by radius only
-    overflow_radius_ = radius;
-    cache_valid_ = false;
-    cached_graph_fp_valid_ = false;
-    for (auto& shard : shards_) {
-      shard->balls.clear();
-      shard->inverted.clear();
-      shard->ball_nodes = 0;
-    }
-    ++stats_.full_sweeps;
-    consumed_generation_ = tracker_->generation();
-    return sweep_sequential(g, p, a);
-  }
+  const std::uint64_t reverified = run_lanes(p, a, radius);
 
   consumed_generation_ = tracker_->generation();
-  ++stats_.incremental_runs;
   RunResult result = result_from_rejects(g);
-  result.evaluated = run_reverified;
+  result.evaluated = reverified;
   return result;
 }
 
@@ -1332,13 +1035,6 @@ RunResult ShardedEngine::run_content_path(const Graph& g, const Proof& p,
   const int radius = a.radius();
   const std::uint64_t fp = graph_fingerprint(g);
 
-  if (overflowed_) {
-    if (fp == overflow_fp_ && radius == overflow_radius_) {
-      ++stats_.full_sweeps;
-      return sweep_sequential(g, p, a);
-    }
-    overflowed_ = false;  // different state: give caching another chance
-  }
   if (!cache_valid_ || !cached_graph_fp_valid_ || fp != cached_graph_fp_ ||
       radius != cached_radius_ || &a != cached_verifier_ || host_n_ != n ||
       static_cast<int>(last_proofs_.size()) != n ||
@@ -1361,52 +1057,14 @@ RunResult ShardedEngine::run_content_path(const Graph& g, const Proof& p,
     ++stats_.unchanged_runs;
     return result_from_rejects(g);
   }
-  for (auto& shard : shards_) {
-    shard->pending_ops.clear();
-    shard->pending_proofs.clear();
-    shard->needs_halo = false;
-    shard->rebuilt = false;
-    shard->touched = false;
-    shard->has_patches = false;
-    shard->last_dirty = 0;
-    shard->ctr_patched = 0;
-    shard->ctr_fallbacks = 0;
-    shard->ctr_reextract = 0;
-    shard->ctr_reverified = 0;
-  }
+  reset_run_state();
   route_proofs(g, p, proof_hosts_);
-  int touched = 0;
-  for (auto& shard : shards_) {
-    if (shard->touched) ++touched;
-  }
-  stats_.shards_woken += static_cast<std::uint64_t>(touched);
-  if (touched == 1) {
-    for (auto& shard : shards_) {
-      if (shard->touched) lane_incremental(g, p, a, radius, *shard);
-    }
-  } else if (touched > 1) {
-    dispatch_lanes([&](int s) {
-      Shard& sh = *shards_[static_cast<std::size_t>(s)];
-      if (sh.touched) lane_incremental(g, p, a, radius, sh);
-    });
-  }
-  stats_.last_dirty_per_shard.assign(static_cast<std::size_t>(k_), 0);
-  std::uint64_t run_reverified = 0;
-  for (auto& shard : shards_) {
-    stats_.last_dirty_per_shard[static_cast<std::size_t>(shard->index)] =
-        shard->last_dirty;
-    stats_.views_patched += shard->ctr_patched;
-    stats_.patch_fallbacks += shard->ctr_fallbacks;
-    stats_.reextractions += shard->ctr_reextract;
-    stats_.nodes_reverified += shard->ctr_reverified;
-    run_reverified += shard->ctr_reverified;
-  }
+  const std::uint64_t reverified = run_lanes(p, a, radius);
   // These verdicts now reflect a possibly foreign proof; the tracker path
   // must rebuild rather than trust them (same rule as IncrementalEngine).
   cache_from_tracker_ = false;
-  ++stats_.incremental_runs;
   RunResult result = result_from_rejects(g);
-  result.evaluated = run_reverified;
+  result.evaluated = reverified;
   return result;
 }
 

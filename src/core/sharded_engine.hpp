@@ -5,9 +5,9 @@
 // radius-r ball (Section 2.1), so a shard that owns a node set S can decide
 // every owned verdict from the subgraph induced on S plus the depth-r ghost
 // fringe around it.  ShardedEngine partitions nodes into k shards through a
-// Partitioner, gives each shard a pinned WorkerPool lane, its own BallStore
-// shard, and a private *local graph* (owned nodes plus ghosts, host ids
-// preserved), and materialises the ghosts by explicit halo exchange: r
+// Partitioner, gives each shard a pinned WorkerPool lane and a private
+// *local graph* (owned nodes plus ghosts, host ids preserved), and
+// materialises the ghosts by explicit halo exchange: r
 // coordinator-driven rounds of request/record messages over a
 // ShardTransport (core/shard_transport.hpp).  Only the fringe ever crosses
 // shards; the transport counts the traffic so the boundary cost is visible.
@@ -23,12 +23,13 @@
 // IncrementalEngine semantics, with shard isolation on top:
 //
 //   - the coordinator routes each ViewDelta to exactly the shards where an
-//     endpoint is local (owned or ghost); a batch confined to one shard's
-//     interior never wakes the other lanes;
-//   - touched lanes replay routed ops against their cached balls through
-//     View::classify_delta/apply_delta (host-id based, so ball patching
-//     never needs non-local state), re-extracting only centres whose
-//     frontier moved — from the local graph, not the host;
+//     endpoint is local (owned or ghost), and each structurally dirty
+//     centre to its owner; a batch confined to one shard's interior never
+//     wakes the other lanes;
+//   - touched lanes replay routed ops into their local graph, add the
+//     radius-r BFS around each label or proof epicentre (ball symmetry),
+//     and re-extract and re-verify those owned centres from the local
+//     graph, not the host.  Lanes keep verdicts only, no views;
 //   - the ghost halo is re-exchanged only when a boundary fringe actually
 //     changed: an edge op triggers a shard's halo rebuild exactly when it
 //     can alter which nodes lie within r of the owned set (see the trigger
@@ -50,7 +51,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/ball_store.hpp"
 #include "core/delta.hpp"
 #include "core/engine.hpp"
 #include "core/shard_transport.hpp"
@@ -70,9 +70,6 @@ struct ShardedEngineOptions {
   /// every tracker-path run (O(n + m + proof bits)); sessions and benches
   /// turn this off because they own the mutation channel.
   bool verify_state = true;
-  /// Abandon caching when the summed ball sizes across all shards exceed
-  /// this bound; subsequent runs fall back to plain sweeps.
-  std::size_t max_cached_ball_nodes = std::size_t{1} << 22;
 };
 
 class ShardedEngine final : public ExecutionEngine {
@@ -89,12 +86,11 @@ class ShardedEngine final : public ExecutionEngine {
                 const LocalVerifier& a) override;
 
   /// Consumes the tracker's dirty log (returns true); attaching resets the
-  /// shard caches — the tracker's generation becomes the engine's clock.
+  /// shard state — the tracker's generation becomes the engine's clock.
   bool attach_tracker(DeltaTracker* tracker) override;
   DeltaTracker* attached_tracker() const override { return tracker_; }
 
-  /// Registers "engine.sharded.*" (the Stats counters), aggregate
-  /// "store.shard.*" gauges summed over the per-shard stores,
+  /// Registers "engine.sharded.*" (the Stats counters),
   /// "transport.halo.*" traffic gauges, per-lane "pool.sharded.*" busy
   /// time, and one "engine.sharded.shard<k>.last_dirty" gauge per shard.
   /// Gauges that need the resolved configuration (lanes, shard count)
@@ -102,8 +98,8 @@ class ShardedEngine final : public ExecutionEngine {
   void attach_telemetry(obs::Telemetry* telemetry) override;
   obs::Telemetry* attached_telemetry() const override { return telemetry_; }
 
-  /// Emits halo-exchange, lane-dispatch, patch-fallback, and (via the
-  /// transport) per-message send events while attached.
+  /// Emits halo-exchange, lane-dispatch, and (via the transport)
+  /// per-message send events while attached.
   void attach_journal(obs::Journal* journal) override;
   obs::Journal* attached_journal() const override { return journal_; }
 
@@ -118,12 +114,14 @@ class ShardedEngine final : public ExecutionEngine {
     std::uint64_t unchanged_runs = 0;    ///< no records: cached verdicts
     std::uint64_t fallbacks = 0;         ///< fingerprint/log forced rebuilds
     std::uint64_t nodes_reverified = 0;  ///< accept() calls on delta paths
-    std::uint64_t views_patched = 0;     ///< balls updated via apply_delta
-    std::uint64_t patch_fallbacks = 0;   ///< deltas that forced re-extraction
+    /// Always 0: views are no longer patched.  Kept until the benchmark
+    /// retires its per-layer patch rows.
+    std::uint64_t views_patched = 0;
+    /// Always 0, as views_patched.
+    std::uint64_t patch_fallbacks = 0;
     std::uint64_t reextractions = 0;     ///< centres re-extracted on deltas
     std::uint64_t halo_rebuilds = 0;     ///< per-shard ghost re-exchanges
     std::uint64_t shards_woken = 0;      ///< lanes touched across delta runs
-    std::uint64_t store_adoptions = 0;   ///< shard rebuilds served by stores
     /// Dirty centres per shard on the most recent incremental run.
     std::vector<std::size_t> last_dirty_per_shard;
   };
@@ -144,8 +142,7 @@ class ShardedEngine final : public ExecutionEngine {
                              const LocalVerifier& a);
 
   // Coordinator-side routing of one graph delta / proof epicentre.
-  void route_delta(const Graph& g, const Proof& p, const ViewDelta& d,
-                   int radius);
+  void route_delta(const Graph& g, const ViewDelta& d, int radius);
   void route_proofs(const Graph& g, const Proof& p,
                     const std::vector<int>& hosts);
 
@@ -157,12 +154,15 @@ class ShardedEngine final : public ExecutionEngine {
   void reset_shard_skeleton(const Graph& g, const Proof& p, Shard& shard);
 
   // Lane-side work.
-  void lane_extract_all(const Graph& g, const Proof& p,
-                        const LocalVerifier& a, std::uint64_t fingerprint,
+  void lane_sweep(const LocalVerifier& a, Shard& shard);
+  void lane_incremental(const Proof& p, const LocalVerifier& a, int radius,
                         Shard& shard);
-  void lane_incremental(const Graph& g, const Proof& p,
-                        const LocalVerifier& a, int radius, Shard& shard);
   void dispatch_lanes(const std::function<void(int)>& job);
+  void reset_run_state();
+  /// Runs the touched lanes and folds their counters into Stats; returns
+  /// the number of centres re-verified.
+  std::uint64_t run_lanes(const Proof& p, const LocalVerifier& a,
+                          int radius);
 
   /// Registers the gauges that need the resolved configuration (pool,
   /// transport, per-shard); called from attach_telemetry when already
@@ -184,12 +184,9 @@ class ShardedEngine final : public ExecutionEngine {
 
   bool cache_valid_ = false;
   bool cache_from_tracker_ = false;
-  bool overflowed_ = false;
-  std::uint64_t overflow_fp_ = 0;  // state the overflow was observed on
-  int overflow_radius_ = -1;
   const LocalVerifier* cached_verifier_ = nullptr;
   int cached_radius_ = -1;
-  int host_n_ = 0;  // node count the shard caches cover
+  int host_n_ = 0;  // node count the shard verdicts cover
   std::uint64_t cached_graph_fp_ = 0;
   bool cached_graph_fp_valid_ = false;
   std::uint64_t consumed_generation_ = 0;

@@ -515,16 +515,13 @@ RunResult SpotCheckEngine::run(const Graph& g, const Proof& p,
   std::sort(last_sample_.begin(), last_sample_.end());
 
   // Verify the sampled balls exactly against the current state.
-  if (extractor_graph_ != &g ||
-      extractor_n_ != static_cast<std::size_t>(g.n())) {
-    extractor_.bind(g);
-    extractor_graph_ = &g;
-    extractor_n_ = static_cast<std::size_t>(g.n());
-  }
+  sample_out_.resize(k);
+  lane_.verify(
+      g, p, a, k, [this](std::size_t i) { return last_sample_[i]; },
+      sample_out_.data());
   std::vector<int> sampled_rejecting;
-  for (int c : last_sample_) {
-    const View view = extractor_.extract(p, c, a.radius());
-    if (!a.accept(view)) sampled_rejecting.push_back(c);
+  for (std::size_t i = 0; i < k; ++i) {
+    if (!sample_out_[i]) sampled_rejecting.push_back(last_sample_[i]);
   }
   ++stats_.sampled_runs;
   stats_.balls_sampled += static_cast<std::uint64_t>(k);

@@ -258,9 +258,8 @@ class SpotCheckEngine final : public ExecutionEngine {
   obs::Telemetry* telemetry_ = nullptr;
   obs::Journal* journal_ = nullptr;
   VerdictAttribution attribution_;
-  ViewExtractor extractor_;
-  const Graph* extractor_graph_ = nullptr;  // what extractor_ is bound to
-  std::size_t extractor_n_ = 0;
+  CentreVerifier lane_;
+  std::vector<std::uint8_t> sample_out_;
   SplitMix64 rng_;
 
   // Exact-verdict baseline: valid while the binding below matches.

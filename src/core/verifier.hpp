@@ -29,8 +29,8 @@ class LocalVerifier {
   /// Batched evaluation: out[i] = accept(*views[i]) ? 1 : 0, in order.
   /// The default loops accept(); table-driven verifiers override it to
   /// amortise per-view locking and dispatch (local/lookup_table.hpp).
-  /// Engines use this on paths where many views are materialised at once
-  /// (DirectEngine cache hits, IncrementalEngine dirty sets).
+  /// Engines hand over chunks of freshly extracted views
+  /// (CentreVerifier, core/engine.hpp).
   virtual void accept_batch(const View* const* views, std::size_t count,
                             std::uint8_t* out) const {
     for (std::size_t i = 0; i < count; ++i) {

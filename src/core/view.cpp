@@ -1,302 +1,256 @@
 #include "core/view.hpp"
 
 #include <algorithm>
-#include <cstddef>
-#include <limits>
 
 namespace lcp {
 
-namespace {
-
-/// Ball index of host node u, or -1 when u is outside the ball.  Ball
-/// nodes carry their host ids, so the ball's own id index answers this in
-/// O(1) without any per-view side table.
-int ball_index_of(const Graph& ball, const Graph& host, int u) {
-  const auto idx = ball.index_of(host.id(u));
-  return idx.has_value() ? *idx : -1;
-}
-
-/// The slot a fresh extraction would give a ball edge {bu, bv}: the
-/// extraction scan emits edges sorted by (smaller ball index, id of the
-/// other endpoint), and patches preserve that order, so the slot is a
-/// binary search over the existing edge list.
-int canonical_edge_slot(const Graph& ball, int bu, int bv) {
-  const int i = std::min(bu, bv);
-  const NodeId other = ball.id(bu == i ? bv : bu);
-  int lo = 0;
-  int hi = ball.m();
-  while (lo < hi) {
-    const int mid = lo + (hi - lo) / 2;
-    const int eu = ball.edge_u(mid);
-    const int ev = ball.edge_v(mid);
-    const int ei = std::min(eu, ev);
-    const NodeId eother = ball.id(eu == ei ? ev : eu);
-    if (ei < i || (ei == i && eother < other)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
+/// Fills balls and binds proof labels; the one writer of Ball and
+/// ProofLabels internals.  Templated on the graph type so a ball can be
+/// extracted from a host Graph or from inside another Ball.
+class BallBuilder {
+ public:
+  /// One BFS from v, bounded by `radius`: `order` receives the members
+  /// (centre first) and `dist` their distances; `position` maps each
+  /// member to its ball index and must be all -1 on entry (reset()
+  /// restores that).
+  template <class G>
+  static void bfs(const G& g, int v, int radius, std::vector<int>& position,
+                  std::vector<int>& order, std::vector<int>& dist) {
+    order.clear();
+    dist.clear();
+    // `order` doubles as the queue: members are only appended, and the
+    // scan head never overtakes the tail.
+    position[static_cast<std::size_t>(v)] = 0;
+    order.push_back(v);
+    dist.push_back(0);
+    for (std::size_t head = 0; head < order.size(); ++head) {
+      const int u = order[head];
+      const int du = dist[head];
+      if (du == radius) continue;
+      for (const HalfEdge& h : g.neighbors(u)) {
+        int& slot = position[static_cast<std::size_t>(h.to)];
+        if (slot < 0) {
+          slot = static_cast<int>(order.size());
+          order.push_back(h.to);
+          dist.push_back(du + 1);
+        }
+      }
     }
   }
-  return lo;
-}
 
-/// The ball index of the node that discovers `b` in the extraction BFS:
-/// among b's in-ball neighbours one level closer to the centre, the one
-/// with the smallest ball index (ball indices ARE BFS dequeue order, and
-/// the first parent dequeued marks b).  Returns INT_MAX when b has no
-/// in-ball parent (never the case for a member at distance >= 1).
-int discoverer_of(const View& view, int b) {
-  const int want = view.dist_of(b) - 1;
-  int best = std::numeric_limits<int>::max();
-  for (const HalfEdge& h : view.ball.neighbors(b)) {
-    if (view.dist_of(h.to) == want && h.to < best) best = h.to;
+  static void reset(std::vector<int>& position,
+                    const std::vector<int>& order) {
+    for (int u : order) position[static_cast<std::size_t>(u)] = -1;
   }
-  return best;
+
+  /// Builds the induced ball on `order` into `ball`, reusing its storage.
+  /// Edges come from the members' id-sorted adjacency lists, so each
+  /// ball list stays id-sorted; an edge is numbered when its smaller-index
+  /// endpoint's list is scanned and keeps the host's (edge_u, edge_v).
+  template <class G>
+  static void fill(const G& g, const std::vector<int>& position,
+                   const std::vector<int>& order, Ball& ball) {
+    const std::size_t n = order.size();
+    ball.ids_.resize(n);
+    ball.labels_.resize(n);
+    ball.offsets_.resize(n + 1);
+    ball.half_.clear();
+    ball.edges_.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      ball.ids_[i] = g.id(order[i]);
+      ball.labels_[i] = g.label(order[i]);
+    }
+    ball.offsets_[0] = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const int self = static_cast<int>(i);
+      for (const HalfEdge& h : g.neighbors(order[i])) {
+        const int j = position[static_cast<std::size_t>(h.to)];
+        if (j < 0) continue;
+        if (j > self) {
+          const int e = static_cast<int>(ball.edges_.size());
+          ball.edges_.push_back(Ball::EdgeRecord{
+              position[static_cast<std::size_t>(g.edge_u(h.edge))],
+              position[static_cast<std::size_t>(g.edge_v(h.edge))],
+              g.edge_label(h.edge), g.edge_weight(h.edge)});
+          ball.half_.push_back(HalfEdge{j, e});
+        } else {
+          // j's list is complete and id-sorted: find its entry for us.
+          const auto first = ball.half_.begin() + ball.offsets_[
+              static_cast<std::size_t>(j)];
+          const auto last = ball.half_.begin() + ball.offsets_[
+              static_cast<std::size_t>(j) + 1];
+          const NodeId mine = ball.ids_[i];
+          const auto it = std::lower_bound(
+              first, last, mine, [&ball](const HalfEdge& x, NodeId id) {
+                return ball.ids_[static_cast<std::size_t>(x.to)] < id;
+              });
+          ball.half_.push_back(HalfEdge{j, it->edge});
+        }
+      }
+      ball.offsets_[i + 1] = static_cast<int>(ball.half_.size());
+    }
+  }
+
+  /// Extracts the view of v into `out`, reusing its storage.  The BFS
+  /// order doubles as the proof labels' host-index list, so binding the
+  /// labels copies nothing.
+  template <class G>
+  static void extract(const G& g, const Proof& p, int v, int radius,
+                      std::vector<int>& position, View& out) {
+    std::vector<int>& order = out.proofs.members_;
+    bfs(g, v, radius, position, order, out.dist);
+    fill(g, position, order, out.ball);
+    reset(position, order);
+    out.proofs.host_ = &p;
+    out.proofs.owned_.clear();
+    out.center = 0;
+    out.radius = radius;
+  }
+};
+
+namespace {
+
+template <class G>
+View extract_from(const G& g, const Proof& p, int v, int radius) {
+  std::vector<int> position(static_cast<std::size_t>(g.n()), -1);
+  View view;
+  BallBuilder::extract(g, p, v, radius, position, view);
+  return view;
 }
 
 }  // namespace
 
-PatchResult View::classify_delta(const Graph& host, const ViewDelta& d) const {
-  switch (d.kind) {
-    case ViewDelta::Kind::kAddNode:
-      // The new node is born isolated: it cannot sit in any existing ball,
-      // and attaching it later arrives as its own kAddEdge delta.
-      return PatchResult::kUnchanged;
-    case ViewDelta::Kind::kNodeLabel:
-      return ball_index_of(ball, host, d.u) >= 0 ? PatchResult::kPatched
-                                                 : PatchResult::kUnchanged;
-    case ViewDelta::Kind::kEdgeLabel:
-    case ViewDelta::Kind::kEdgeWeight: {
-      const int bu = ball_index_of(ball, host, d.u);
-      if (bu < 0) return PatchResult::kUnchanged;
-      const int bv = ball_index_of(ball, host, d.v);
-      if (bv < 0) return PatchResult::kUnchanged;
-      // Both endpoints are members, so the induced ball must carry the
-      // edge; a missing edge means the view no longer matches the delta
-      // stream and only re-extraction is safe.
-      return ball.has_edge(bu, bv) ? PatchResult::kPatched
-                                   : PatchResult::kFallback;
-    }
-    case ViewDelta::Kind::kAddEdge: {
-      const int bu = ball_index_of(ball, host, d.u);
-      const int bv = ball_index_of(ball, host, d.v);
-      if (bu < 0 && bv < 0) return PatchResult::kUnchanged;
-      if (bu < 0 || bv < 0) {
-        // One endpoint in the ball.  From the frontier the new edge leads
-        // strictly outside (the other endpoint would land at distance
-        // radius + 1) and induced balls only carry member-member edges, so
-        // the view is untouched.  From any interior node the other
-        // endpoint enters the ball: the frontier moves.
-        const int inside = bu >= 0 ? bu : bv;
-        return dist_of(inside) == radius ? PatchResult::kUnchanged
-                                         : PatchResult::kFallback;
-      }
-      if (ball.has_edge(bu, bv)) return PatchResult::kFallback;  // stale view
-      const int du = dist_of(bu);
-      const int dv = dist_of(bv);
-      // Same level: the edge joins two already-discovered nodes, so no
-      // distance, membership, or BFS-order change — purely a new induced
-      // edge.
-      if (du == dv) return PatchResult::kPatched;
-      if (du > dv ? du - dv == 1 : dv - du == 1) {
-        // Adjacent levels: distances survive, but the lower endpoint
-        // becomes a parent of the higher one.  The extraction BFS stays
-        // bit-identical iff the higher endpoint's discoverer keeps a
-        // smaller dequeue position than the new parent.
-        const int lo = du < dv ? bu : bv;
-        const int hi_node = du < dv ? bv : bu;
-        return discoverer_of(*this, hi_node) < lo ? PatchResult::kPatched
-                                                  : PatchResult::kFallback;
-      }
-      // Two or more levels apart: the edge is a shortcut, distances (and
-      // possibly membership) change.
-      return PatchResult::kFallback;
-    }
-    case ViewDelta::Kind::kRemoveEdge: {
-      const int bu = ball_index_of(ball, host, d.u);
-      if (bu < 0) return PatchResult::kUnchanged;
-      const int bv = ball_index_of(ball, host, d.v);
-      if (bv < 0) return PatchResult::kUnchanged;
-      // Distances to members are realised by paths inside the ball, so an
-      // edge with at most one member endpoint can never carry one; with
-      // both endpoints inside, the induced edge disappears and the
-      // question is whether anything else depended on it.
-      if (!ball.has_edge(bu, bv)) return PatchResult::kFallback;  // stale
-      const int du = dist_of(bu);
-      const int dv = dist_of(bv);
-      // Same level: never on a shortest path, never a discovery edge.
-      if (du == dv) return PatchResult::kPatched;
-      // Adjacent levels (anything else is impossible for an existing
-      // edge): safe iff the higher endpoint was not discovered through the
-      // removed edge — some other parent with a smaller dequeue position
-      // keeps both its distance and its BFS slot.
-      const int lo = du < dv ? bu : bv;
-      const int hi_node = du < dv ? bv : bu;
-      return discoverer_of(*this, hi_node) != lo ? PatchResult::kPatched
-                                                 : PatchResult::kFallback;
-    }
+Ball::Ball(const Graph& g)
+    : ids_(g.ids()), offsets_(static_cast<std::size_t>(g.n()) + 1, 0) {
+  labels_.reserve(ids_.size());
+  half_.reserve(2 * static_cast<std::size_t>(g.m()));
+  for (int v = 0; v < g.n(); ++v) {
+    labels_.push_back(g.label(v));
+    for (const HalfEdge& h : g.neighbors(v)) half_.push_back(h);
+    offsets_[static_cast<std::size_t>(v) + 1] =
+        static_cast<int>(half_.size());
   }
-  return PatchResult::kFallback;
-}
-
-PatchResult View::apply_delta(const Graph& host, const ViewDelta& d) {
-  const PatchResult verdict = classify_delta(host, d);
-  if (verdict != PatchResult::kPatched) return verdict;
-  apply_delta_unchecked(host, d);
-  return PatchResult::kPatched;
-}
-
-void View::apply_delta_unchecked(const Graph& host, const ViewDelta& d) {
-  switch (d.kind) {
-    case ViewDelta::Kind::kNodeLabel:
-      ball.set_label(ball_index_of(ball, host, d.u), d.label);
-      break;
-    case ViewDelta::Kind::kEdgeLabel: {
-      const int bu = ball_index_of(ball, host, d.u);
-      const int bv = ball_index_of(ball, host, d.v);
-      ball.set_edge_label(ball.edge_index(bu, bv), d.label);
-      break;
-    }
-    case ViewDelta::Kind::kEdgeWeight: {
-      const int bu = ball_index_of(ball, host, d.u);
-      const int bv = ball_index_of(ball, host, d.v);
-      ball.set_edge_weight(ball.edge_index(bu, bv), d.weight);
-      break;
-    }
-    case ViewDelta::Kind::kAddEdge: {
-      // Endpoint order mirrors the host edge record (the delta's u, v), as
-      // extraction does; the slot is where the extraction scan would have
-      // emitted it.
-      const int bu = ball_index_of(ball, host, d.u);
-      const int bv = ball_index_of(ball, host, d.v);
-      ball.insert_edge_at(canonical_edge_slot(ball, bu, bv), bu, bv, d.label,
-                          d.weight);
-      break;
-    }
-    case ViewDelta::Kind::kRemoveEdge: {
-      const int bu = ball_index_of(ball, host, d.u);
-      const int bv = ball_index_of(ball, host, d.v);
-      ball.remove_edge_stable(bu, bv);
-      break;
-    }
-    case ViewDelta::Kind::kAddNode:
-      break;  // never classified kPatched
+  edges_.reserve(static_cast<std::size_t>(g.m()));
+  for (int e = 0; e < g.m(); ++e) {
+    edges_.push_back(EdgeRecord{g.edge_u(e), g.edge_v(e), g.edge_label(e),
+                                g.edge_weight(e)});
   }
 }
 
-PatchResult View::patch_proof(const Graph& host, int u, const BitString& bits) {
-  const int b = ball_index_of(ball, host, u);
-  if (b < 0) return PatchResult::kUnchanged;
-  proofs[static_cast<std::size_t>(b)] = bits;
-  return PatchResult::kPatched;
+int Ball::edge_index(int u, int v) const {
+  int from = u;
+  int to = v;
+  if (degree(v) < degree(u)) std::swap(from, to);
+  for (const HalfEdge& h : neighbors(from)) {
+    if (h.to == to) return h.edge;
+  }
+  return -1;
 }
 
-View make_isolated_view(const Graph& host, const Proof& p, int v, int radius) {
-  View view;
-  view.radius = radius;
-  view.center = 0;
-  view.ball.add_node(host.id(v), host.label(v));
-  view.proofs.push_back(p.labels[static_cast<std::size_t>(v)]);
-  view.dist.push_back(0);
-  return view;
+std::optional<int> Ball::index_of(NodeId id) const {
+  for (std::size_t i = 0; i < ids_.size(); ++i) {
+    if (ids_[i] == id) return static_cast<int>(i);
+  }
+  return std::nullopt;
 }
 
-bool graphs_bit_identical(const Graph& a, const Graph& b) {
-  if (a.n() != b.n() || a.m() != b.m()) return false;
-  for (int v = 0; v < a.n(); ++v) {
-    if (a.id(v) != b.id(v) || a.label(v) != b.label(v)) return false;
-    const auto na = a.neighbors(v);
-    const auto nb = b.neighbors(v);
-    if (na.size() != nb.size()) return false;
-    for (std::size_t i = 0; i < na.size(); ++i) {
-      if (na[i].to != nb[i].to || na[i].edge != nb[i].edge) return false;
+Graph Ball::to_graph() const {
+  Graph out;
+  for (int v = 0; v < n(); ++v) out.add_node(id(v), label(v));
+  for (const EdgeRecord& e : edges_) {
+    out.add_edge(e.u, e.v, e.label, e.weight);
+  }
+  return out;
+}
+
+bool operator==(const Ball& a, const Ball& b) {
+  if (a.ids_ != b.ids_ || a.labels_ != b.labels_ ||
+      a.offsets_ != b.offsets_ || a.half_.size() != b.half_.size() ||
+      a.edges_.size() != b.edges_.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.half_.size(); ++i) {
+    if (a.half_[i].to != b.half_[i].to ||
+        a.half_[i].edge != b.half_[i].edge) {
+      return false;
     }
   }
-  for (int e = 0; e < a.m(); ++e) {
-    if (a.edge_u(e) != b.edge_u(e) || a.edge_v(e) != b.edge_v(e) ||
-        a.edge_label(e) != b.edge_label(e) ||
-        a.edge_weight(e) != b.edge_weight(e)) {
+  for (std::size_t e = 0; e < a.edges_.size(); ++e) {
+    const Ball::EdgeRecord& x = a.edges_[e];
+    const Ball::EdgeRecord& y = b.edges_[e];
+    if (x.u != y.u || x.v != y.v || x.label != y.label ||
+        x.weight != y.weight) {
       return false;
     }
   }
   return true;
 }
 
+void ProofLabels::assign(std::vector<BitString> labels) {
+  host_ = nullptr;
+  members_.clear();
+  owned_ = std::move(labels);
+}
+
+void ProofLabels::own() {
+  if (host_ == nullptr) return;
+  owned_.clear();
+  owned_.reserve(members_.size());
+  for (int u : members_) {
+    owned_.push_back(host_->labels[static_cast<std::size_t>(u)]);
+  }
+  host_ = nullptr;
+  members_.clear();
+}
+
+bool operator==(const ProofLabels& a, const ProofLabels& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!(a[i] == b[i])) return false;
+  }
+  return true;
+}
+
+View View::from_graph(const Graph& ball, int center, int radius,
+                      std::vector<BitString> proofs, std::vector<int> dist) {
+  View view;
+  view.ball = Ball(ball);
+  view.center = center;
+  view.radius = radius;
+  view.proofs.assign(std::move(proofs));
+  view.dist = std::move(dist);
+  return view;
+}
+
 bool views_bit_identical(const View& a, const View& b) {
   return a.center == b.center && a.radius == b.radius && a.dist == b.dist &&
-         a.proofs == b.proofs && graphs_bit_identical(a.ball, b.ball);
+         a.proofs == b.proofs && a.ball == b.ball;
 }
 
 void ViewExtractor::bind(const Graph& g) {
   g_ = &g;
-  position_.assign(static_cast<std::size_t>(g.n()), -1);
-  order_.clear();
-  dist_.clear();
+  if (position_.size() < static_cast<std::size_t>(g.n())) {
+    position_.resize(static_cast<std::size_t>(g.n()), -1);
+  }
 }
 
-View ViewExtractor::extract(const Proof& p, int v, int radius,
-                            std::vector<int>* host_out) {
-  const Graph& g = *g_;
-  order_.clear();
-  dist_.clear();
+void ViewExtractor::extract_into(const Proof& p, int v, int radius,
+                                 View& out) {
+  BallBuilder::extract(*g_, p, v, radius, position_, out);
+}
 
-  // One BFS discovers the ball and its distances; `order_` doubles as the
-  // queue (members are only appended, and the scan head never overtakes the
-  // tail), so the ball comes out in the same centre-first BFS order that
-  // `ball_nodes` produces.
-  position_[static_cast<std::size_t>(v)] = 0;
-  order_.push_back(v);
-  dist_.push_back(0);
-  for (std::size_t head = 0; head < order_.size(); ++head) {
-    const int u = order_[head];
-    const int du = dist_[head];
-    if (du == radius) continue;
-    for (const HalfEdge& h : g.neighbors(u)) {
-      if (position_[static_cast<std::size_t>(h.to)] < 0) {
-        position_[static_cast<std::size_t>(h.to)] =
-            static_cast<int>(order_.size());
-        order_.push_back(h.to);
-        dist_.push_back(du + 1);
-      }
-    }
-  }
-
-  View view;
-  view.radius = radius;
-  view.center = 0;
-  for (int u : order_) view.ball.add_node(g.id(u), g.label(u));
-  // Ball edges come from the members' adjacency lists, not a scan of every
-  // host edge; each in-ball edge is seen from both endpoints and added once,
-  // from the endpoint with the smaller ball index.  Endpoint insertion
-  // order must mirror the host edge's (edge_u, edge_v): direction masks in
-  // edge labels (graph/directed.hpp) are interpreted relative to it.
-  for (std::size_t i = 0; i < order_.size(); ++i) {
-    for (const HalfEdge& h : g.neighbors(order_[i])) {
-      const int j = position_[static_cast<std::size_t>(h.to)];
-      if (j > static_cast<int>(i)) {
-        const int e = h.edge;
-        view.ball.add_edge(position_[static_cast<std::size_t>(g.edge_u(e))],
-                           position_[static_cast<std::size_t>(g.edge_v(e))],
-                           g.edge_label(e), g.edge_weight(e));
-      }
-    }
-  }
-  view.proofs.reserve(order_.size());
-  for (int u : order_) {
-    view.proofs.push_back(p.labels[static_cast<std::size_t>(u)]);
-  }
-  // Distances inside the induced ball equal distances in G for ball members,
-  // so the BFS above already computed them.
-  view.dist = dist_;
-
-  if (host_out != nullptr) *host_out = order_;
-  for (int u : order_) position_[static_cast<std::size_t>(u)] = -1;
-  return view;
+const std::vector<int>& ViewExtractor::ball_members(int v, int radius) {
+  BallBuilder::bfs(*g_, v, radius, position_, order_, dist_);
+  BallBuilder::reset(position_, order_);
+  return order_;
 }
 
 View extract_view(const Graph& g, const Proof& p, int v, int radius) {
-  ViewExtractor extractor(g);
-  return extractor.extract(p, v, radius);
+  return extract_from(g, p, v, radius);
+}
+
+View extract_view(const Ball& ball, const Proof& p, int v, int radius) {
+  return extract_from(ball, p, v, radius);
 }
 
 }  // namespace lcp

@@ -11,13 +11,6 @@ void add_arc(Graph& g, int u, int v) {
   g.set_edge_label(e, g.edge_label(e) | (forward ? kForward : kBackward));
 }
 
-bool has_arc(const Graph& g, int u, int v) {
-  const int e = g.edge_index(u, v);
-  if (e < 0) return false;
-  const bool forward = g.edge_u(e) == u;
-  return (g.edge_label(e) & (forward ? kForward : kBackward)) != 0;
-}
-
 std::vector<bool> reachable_from(const Graph& g, int src) {
   std::vector<bool> seen(static_cast<std::size_t>(g.n()), false);
   std::queue<int> queue;

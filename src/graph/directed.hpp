@@ -20,8 +20,15 @@ inline constexpr std::uint64_t kBackward = 2;  // edge_v -> edge_u
 /// Declares an arc u -> v.  Adds the undirected edge when missing.
 void add_arc(Graph& g, int u, int v);
 
-/// True when the arc u -> v exists.
-bool has_arc(const Graph& g, int u, int v);
+/// True when the arc u -> v exists.  Works on any graph with Graph's
+/// edge read API, so verifiers call it on extracted balls directly.
+template <class G>
+bool has_arc(const G& g, int u, int v) {
+  const int e = g.edge_index(u, v);
+  if (e < 0) return false;
+  const bool forward = g.edge_u(e) == u;
+  return (g.edge_label(e) & (forward ? kForward : kBackward)) != 0;
+}
 
 /// Nodes reachable from `src` following arcs.
 std::vector<bool> reachable_from(const Graph& g, int src);

@@ -58,38 +58,6 @@ int Graph::add_edge(int u, int v, std::uint64_t label, std::int64_t weight) {
   return e;
 }
 
-int Graph::insert_edge_at(int slot, int u, int v, std::uint64_t label,
-                          std::int64_t weight) {
-  check_new_edge(u, v);
-  if (slot < 0 || slot > m()) {
-    throw std::invalid_argument("Graph::insert_edge_at: slot out of range");
-  }
-  edges_.insert(edges_.begin() + slot, EdgeRecord{u, v, label, weight});
-  for (auto& list : adj_) {
-    for (HalfEdge& h : list) {
-      if (h.edge >= slot) ++h.edge;
-    }
-  }
-  insert_half(u, v, slot);
-  insert_half(v, u, slot);
-  return slot;
-}
-
-void Graph::remove_edge_stable(int u, int v) {
-  const int e = edge_index(u, v);
-  if (e < 0) {
-    throw std::invalid_argument("Graph::remove_edge_stable: no such edge");
-  }
-  drop_half(u, v);
-  drop_half(v, u);
-  edges_.erase(edges_.begin() + e);
-  for (auto& list : adj_) {
-    for (HalfEdge& h : list) {
-      if (h.edge > e) --h.edge;
-    }
-  }
-}
-
 void Graph::remove_edge(int u, int v) {
   const int e = edge_index(u, v);
   if (e < 0) {

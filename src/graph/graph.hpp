@@ -59,20 +59,6 @@ class Graph {
   /// delta API (core/delta.hpp).
   void remove_edge(int u, int v);
 
-  /// Inserts edge {u, v} at edge index `slot`, shifting the indices of all
-  /// edges at >= slot up by one (O(n + m): every adjacency entry is
-  /// visited).  Same validation as add_edge.  View patching
-  /// (View::apply_delta) uses this to splice an edge into the exact slot a
-  /// fresh extraction would have produced, keeping patched balls
-  /// bit-identical to re-extracted ones.
-  int insert_edge_at(int slot, int u, int v, std::uint64_t label = 0,
-                     std::int64_t weight = 1);
-
-  /// Removes edge {u, v} preserving the relative order of the remaining
-  /// edges: indices above the removed slot shift down by one (O(n + m)).
-  /// The order-preserving counterpart of remove_edge, for view patching.
-  void remove_edge_stable(int u, int v);
-
   int n() const { return static_cast<int>(ids_.size()); }
   int m() const { return static_cast<int>(edges_.size()); }
 

@@ -37,9 +37,9 @@ class LookupTableVerifier final : public LocalVerifier {
 
   /// Batched fast path: one lock round-trip for the whole batch instead of
   /// one per view.  Fingerprints and miss evaluations happen outside the
-  /// lock; engines with materialised views (DirectEngine cache hits,
-  /// IncrementalEngine dirty sets) route through this, so table lookups
-  /// on those paths stop paying per-node lock and dispatch overhead.
+  /// lock; every engine sweep hands its views over in chunks
+  /// (CentreVerifier, core/engine.hpp), so table lookups stop paying
+  /// per-node lock and dispatch overhead.
   void accept_batch(const View* const* views, std::size_t count,
                     std::uint8_t* out) const override;
 

@@ -84,17 +84,14 @@ View assemble_view_by_flooding(const Graph& g, const Proof& p, int v,
     }
   }
 
-  View view;
-  view.radius = radius;
-  view.ball = induced_subgraph(assembled, keep);
-  view.center = *view.ball.index_of(g.id(v));
-  view.proofs.resize(keep.size());
+  const Graph ball = induced_subgraph(assembled, keep);
+  const int ball_center = *ball.index_of(g.id(v));
+  std::vector<BitString> proofs(keep.size());
   for (std::size_t i = 0; i < keep.size(); ++i) {
-    const NodeId id = view.ball.id(static_cast<int>(i));
-    view.proofs[i] = mine.at(id).proof;
+    proofs[i] = mine.at(ball.id(static_cast<int>(i))).proof;
   }
-  view.dist = bfs_distances(view.ball, view.center);
-  return view;
+  return View::from_graph(ball, ball_center, radius, std::move(proofs),
+                          bfs_distances(ball, ball_center));
 }
 
 RunResult run_verifier_message_passing(const Graph& g, const Proof& p,

@@ -25,7 +25,7 @@ View anonymize_view(const View& view) {
         sorted.begin() + 1);
   }
   View anon;
-  anon.ball = gen::with_ids(view.ball, ranked);
+  anon.ball = Ball(gen::with_ids(view.ball.to_graph(), ranked));
   anon.center = view.center;
   anon.radius = view.radius;
   anon.proofs = view.proofs;
@@ -115,7 +115,7 @@ class M1ToM2Verifier final : public M2Verifier {
   int radius() const override { return radius_; }
 
   bool accept_anonymous(const View& anon) const override {
-    const Graph& ball = anon.ball;
+    const Ball& ball = anon.ball;
     const int c = anon.center;
 
     std::vector<std::optional<M2Fields>> fields;
@@ -191,7 +191,7 @@ class M1ToM2Verifier final : public M2Verifier {
         return false;
       }
     }
-    const Graph renamed = gen::with_ids(ball, synth);
+    const Graph renamed = gen::with_ids(ball.to_graph(), synth);
     const View inner_view = extract_view(renamed, inner_proof, c,
                                          inner_->verifier().radius());
     return inner_->verifier().accept(inner_view);
@@ -296,7 +296,7 @@ class M2ToM1Verifier final : public LocalVerifier {
       return false;
     }
     // Simulate the M2 verifier with the appointed leader as node label.
-    Graph labelled = view.ball;
+    Graph labelled = view.ball.to_graph();
     for (int v = 0; v < labelled.n(); ++v) {
       labelled.set_label(v, leader_bits[static_cast<std::size_t>(v)]
                                 ? kLeaderLabel

@@ -33,8 +33,8 @@
 namespace lcp::obs {
 
 /// Renders a snapshot in Prometheus text exposition format.  Metric names
-/// are prefixed and sanitised ("store.ball.hit_rate" with prefix "lcp"
-/// becomes "lcp_store_ball_hit_rate"); histograms are rendered as
+/// are prefixed and sanitised ("transport.halo.bytes" with prefix "lcp"
+/// becomes "lcp_transport_halo_bytes"); histograms are rendered as
 /// summaries in seconds with a "_seconds" suffix, quantile labels for
 /// p50/p90/p99, and the usual _sum/_count pair.
 std::string to_prometheus_text(const MetricSnapshot& snapshot,

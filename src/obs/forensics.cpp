@@ -315,6 +315,7 @@ RejectionReport capture_rejection(const Graph& pre_graph,
     witness.newly_rejecting = std::binary_search(
         report.newly_rejecting.begin(), report.newly_rejecting.end(), c);
     witness.view = extract_view(post_graph, post_proof, c, report.radius);
+    witness.view.own_proofs();  // the report outlives the post state
     report.witnesses.push_back(std::move(witness));
   }
 

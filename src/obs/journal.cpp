@@ -15,20 +15,12 @@ const char* journal_kind_name(JournalEventKind kind) {
       return "repair_declined";
     case JournalEventKind::kReprove:
       return "reprove";
-    case JournalEventKind::kPatchFallback:
-      return "patch_fallback";
     case JournalEventKind::kHaloExchange:
       return "halo_exchange";
     case JournalEventKind::kLaneDispatch:
       return "lane_dispatch";
     case JournalEventKind::kTransportSend:
       return "transport_send";
-    case JournalEventKind::kStoreAdopt:
-      return "store_adopt";
-    case JournalEventKind::kStorePublish:
-      return "store_publish";
-    case JournalEventKind::kCacheOverflow:
-      return "cache_overflow";
     case JournalEventKind::kVerdictFlip:
       return "verdict_flip";
     case JournalEventKind::kSpotSample:

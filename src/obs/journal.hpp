@@ -44,13 +44,9 @@ enum class JournalEventKind : std::uint8_t {
   kRepairEmitted,   ///< a maintainer healed the batch
   kRepairDeclined,  ///< a maintainer gave up; reprove if the proof rejects
   kReprove,         ///< full prover fallback (diff ops applied)
-  kPatchFallback,   ///< cached views re-extracted instead of patched
   kHaloExchange,    ///< sharded ghost fringe (re)built
   kLaneDispatch,    ///< work fanned out across worker lanes
   kTransportSend,   ///< one ShardTransport message
-  kStoreAdopt,      ///< a BallStore lookup served a full sweep
-  kStorePublish,    ///< a sweep published its balls to the store
-  kCacheOverflow,   ///< a view cache was abandoned (budget blown)
   kVerdictFlip,     ///< the global verdict changed accept<->reject
   kSpotSample,      ///< a spot-check run sampled k of the dirty pool
   kSpotEscalate,    ///< a sampled rejection/audit forced an exact sweep

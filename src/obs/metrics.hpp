@@ -1,18 +1,18 @@
 // The metric registry: named counters, gauges, and latency histograms
 // shared by every layer of the verification stack.
 //
-// PRs 1-6 grew nine disconnected Stats structs (engine counters, ball-store
+// PRs 1-6 grew nine disconnected Stats structs (engine counters, cache
 // tallies, transport traffic, maintainer repair counts) with no common
 // collection point and no latency distributions.  This header is that
 // collection point: a MetricRegistry owns named metrics with stable
 // addresses, instrumented code updates them through lock-free relaxed
-// atomics (the BallStore counter idiom — monotone tallies carry no
+// atomics (monotone tallies carry no
 // cross-thread ordering, so any reader tolerates a slightly stale sum),
 // and snapshot() renders a consistent-enough point-in-time view for
 // benches, the session facade, and the JSON exporters.
 //
 // Metric naming convention: `layer.component.metric`, all lower-case —
-// e.g. "engine.incremental.full_sweeps", "store.ball.hit_rate",
+// e.g. "engine.incremental.full_sweeps", "transport.halo.bytes",
 // "pool.sharded.lane3.busy_us", "session.apply.latency".  The layer
 // prefix is what the CI telemetry smoke validates, so new instrumentation
 // should extend an existing layer rather than invent spellings.

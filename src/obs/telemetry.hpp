@@ -4,8 +4,8 @@
 // A session built with .telemetry(...) threads this object through every
 // layer: the session's apply() phases record latency histograms and trace
 // spans, engines adapt their Stats structs into the registry
-// (ExecutionEngine::register_metrics), the BallStore exposes hit/miss/
-// eviction rates as derived gauges, and WorkerPool lanes report busy
+// (ExecutionEngine::attach_telemetry), the sharded transport exposes
+// its traffic as derived gauges, and WorkerPool lanes report busy
 // time.  A null Telemetry pointer means disabled — instrumentation sites
 // guard on the pointer, so the disabled cost is a branch per phase and
 // verdicts/fingerprints are bit-identical either way

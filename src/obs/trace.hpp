@@ -12,7 +12,6 @@
 //   +- session.repair
 //   +- session.verify
 //      +- incremental.dirty_scan
-//      +- incremental.reextract
 //      +- incremental.verify
 //
 // to_chrome_json() renders the recorded spans as complete ("ph":"X")

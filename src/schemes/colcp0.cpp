@@ -27,9 +27,9 @@ CoLcp0Scheme::CoLcp0Scheme(std::shared_ptr<const Scheme> inner)
         // reject here.  Its view is my (possibly smaller) ball with an
         // empty proof.
         const int inner_radius = inner_keep->verifier().radius();
+        const Proof empty = Proof::empty(v.ball.n());
         const View inner_view =
-            extract_view(v.ball, Proof::empty(v.ball.n()), v.center,
-                         inner_radius);
+            extract_view(v.ball, empty, v.center, inner_radius);
         return !inner_keep->verifier().accept(inner_view);
       });
 }

@@ -27,7 +27,7 @@ LineGraphScheme::LineGraphScheme()
             // The ball is an induced subgraph of G, so any obstruction in it
             // is an obstruction in G; conversely line graphs are closed
             // under induced subgraphs, so yes-instances never trip this.
-            return !contains_beineke_obstruction(view.ball);
+            return !contains_beineke_obstruction(view.ball.to_graph());
           })) {}
 
 bool LineGraphScheme::holds(const Graph& g) const {

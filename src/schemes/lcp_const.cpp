@@ -75,7 +75,7 @@ std::optional<Proof> EvenCycleScheme::prove(const Graph& g) const {
 
 StReachabilityScheme::StReachabilityScheme()
     : verifier_(std::make_unique<LambdaVerifier>(1, [](const View& view) {
-        const Graph& ball = view.ball;
+        const Ball& ball = view.ball;
         const int c = view.center;
         auto marked = [&view](int v) {
           const BitString& b = view.proof_of(v);
@@ -122,7 +122,7 @@ std::optional<Proof> StReachabilityScheme::prove(const Graph& g) const {
 
 StUnreachableScheme::StUnreachableScheme()
     : verifier_(std::make_unique<LambdaVerifier>(1, [](const View& view) {
-        const Graph& ball = view.ball;
+        const Ball& ball = view.ball;
         const int c = view.center;
         const BitString& mine = view.proof_of(c);
         if (mine.size() != 1) return false;
@@ -158,7 +158,7 @@ std::optional<Proof> StUnreachableScheme::prove(const Graph& g) const {
 
 StUnreachableDirectedScheme::StUnreachableDirectedScheme()
     : verifier_(std::make_unique<LambdaVerifier>(1, [](const View& view) {
-        const Graph& ball = view.ball;
+        const Ball& ball = view.ball;
         const int c = view.center;
         const BitString& mine = view.proof_of(c);
         if (mine.size() != 1) return false;

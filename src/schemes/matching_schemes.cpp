@@ -98,7 +98,7 @@ std::optional<Proof> MaximalIndependentSetScheme::prove(const Graph& g) const {
 
 MaxMatchingBipartiteScheme::MaxMatchingBipartiteScheme() {
   verifier_ = std::make_unique<LambdaVerifier>(2, [](const View& v) {
-    const Graph& ball = v.ball;
+    const Ball& ball = v.ball;
     const int c = v.center;
     auto covered = [&v](int u) {
       const BitString& b = v.proof_of(u);
@@ -157,7 +157,7 @@ MaxWeightMatchingScheme::MaxWeightMatchingScheme(std::int64_t max_weight)
       width_(bit_width_for(static_cast<std::uint64_t>(max_weight))) {
   const int width = width_;
   verifier_ = std::make_unique<LambdaVerifier>(1, [width](const View& v) {
-    const Graph& ball = v.ball;
+    const Ball& ball = v.ball;
     const int c = v.center;
     auto dual = [&v, width](int u) -> std::optional<std::int64_t> {
       const BitString& b = v.proof_of(u);

@@ -59,7 +59,7 @@ std::optional<PathLabel> decode(const BitString& bits, int width) {
 }
 
 bool verify_center(const View& view, int k, PathNaming naming) {
-  const Graph& ball = view.ball;
+  const Ball& ball = view.ball;
   const int c = view.center;
   const int width = name_width(k, naming);
 

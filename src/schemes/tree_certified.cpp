@@ -86,7 +86,7 @@ SpanningTreeScheme::SpanningTreeScheme(int trunc_bits)
     if (!check_tree_cert_at_center(v, certs, trunc_bits)) return false;
     // The certified tree edges at the centre must be exactly the labelled
     // edges: the parent edge plus the edges to certified children.
-    const Graph& ball = v.ball;
+    const Ball& ball = v.ball;
     const int c = v.center;
     const TreeCert& mine = *certs[static_cast<std::size_t>(c)];
     for (const HalfEdge& h : ball.neighbors(c)) {

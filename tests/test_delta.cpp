@@ -279,7 +279,7 @@ TEST(IncrementalEngine, BallBoundaryMutations) {
   EXPECT_EQ(engine.stats().nodes_reverified, 3u);
 
   // Fresh-engine cross-check.
-  DirectEngine fresh({/*cache_views=*/false});
+  DirectEngine fresh;
   const RunResult expected = fresh.run(g, p, ver);
   EXPECT_EQ(expected.rejecting, r.rejecting);
   engine.attach_tracker(nullptr);
@@ -306,7 +306,7 @@ TEST(IncrementalEngine, EdgeChurnNearBallBoundary) {
   DeltaTracker tracker(g, p, 1);
   IncrementalEngine engine;
   engine.attach_tracker(&tracker);
-  DirectEngine fresh({/*cache_views=*/false});
+  DirectEngine fresh;
   EXPECT_EQ(engine.run(g, p, ver).rejecting, fresh.run(g, p, ver).rejecting);
 
   MutationBatch batch;

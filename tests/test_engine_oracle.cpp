@@ -154,8 +154,6 @@ struct EngineConfig {
   std::function<std::unique_ptr<ExecutionEngine>()> make;
   std::string spec;
   IncrementalEngineOptions incremental{.verify_state = false};
-  /// Flip view patching and pool sharding at random before every batch.
-  bool toggle = false;
   /// A spot-check tier that samples: only its REJECTs and audited
   /// verdicts must be exact, so its session state may leave the others'.
   bool sampled = false;
@@ -167,38 +165,22 @@ std::vector<EngineConfig> engine_configs() {
   };
   std::vector<EngineConfig> configs;
   configs.push_back({"direct", by_spec("direct"), "direct"});
-  configs.push_back({"direct/uncached",
-                     [] {
-                       return std::make_unique<DirectEngine>(
-                           DirectEngineOptions{.cache_views = false});
-                     },
-                     ""});
   configs.push_back(
       {"message-passing", by_spec("message-passing"), "message-passing"});
   configs.push_back({"parallel",
                      [] { return std::make_unique<ParallelEngine>(4); },
                      "parallel"});
-  for (const bool patch : {true, false}) {
-    for (const int threads : {0, 3}) {
-      // shard_min_centers = 0 sends even tiny dirty sets to the pool, so
-      // the sharded lanes use it at oracle sizes.
-      const IncrementalEngineOptions options{.verify_state = false,
-                                             .patch_views = patch,
-                                             .shard_threads = threads,
-                                             .shard_min_centers = 0};
-      configs.push_back(
-          {std::string("incremental/") + (patch ? "patch" : "reextract") +
-               (threads > 0 ? "/shard" : "/serial"),
-           [options] { return std::make_unique<IncrementalEngine>(options); },
-           "incremental", options});
-    }
+  for (const int threads : {0, 3}) {
+    // shard_min_centers = 0 sends even tiny dirty sets to the pool, so
+    // the sharded lane uses it at oracle sizes.
+    const IncrementalEngineOptions options{.verify_state = false,
+                                           .shard_threads = threads,
+                                           .shard_min_centers = 0};
+    configs.push_back(
+        {std::string("incremental/") + (threads > 0 ? "shard" : "serial"),
+         [options] { return std::make_unique<IncrementalEngine>(options); },
+         "incremental", options});
   }
-  const IncrementalEngineOptions toggled{.verify_state = false,
-                                         .shard_min_centers = 0};
-  configs.push_back(
-      {"incremental/toggle",
-       [toggled] { return std::make_unique<IncrementalEngine>(toggled); },
-       "incremental", toggled, /*toggle=*/true});
   for (const char* spec : {"sharded:2:range", "sharded:2:hash",
                            "sharded:7:range", "sharded:7:hash"}) {
     configs.push_back({spec, by_spec(spec), spec});
@@ -217,14 +199,8 @@ std::vector<EngineConfig> engine_configs() {
   }
   configs.push_back({"spotcheck:0.3", by_spec("spotcheck:0.3"),
                      "spotcheck:0.3", {.verify_state = false},
-                     /*toggle=*/false, /*sampled=*/true});
+                     /*sampled=*/true});
   return configs;
-}
-
-void maybe_toggle(bool toggle, IncrementalEngine* engine, std::mt19937& rng) {
-  if (!toggle || engine == nullptr) return;
-  engine->set_patch_views(rng() % 2 == 0);
-  engine->set_shard_threads(rng() % 2 == 0 ? 3 : 0);
 }
 
 // -------------------------------------------------------------- schemes --
@@ -413,7 +389,6 @@ class OracleStream {
 struct ContentLane {
   std::string_view name;
   ExecutionEngine* engine;
-  bool toggle;
 };
 
 /// Every lane's engine, reused across the whole corpus, runs each case
@@ -423,7 +398,6 @@ Outcome content_corpus(const std::vector<ContentLane>& lanes,
                        const OracleScheme& entry) {
   const std::unique_ptr<Scheme> scheme = entry.build();
   const LocalVerifier& a = scheme->verifier();
-  std::mt19937 toggle_rng(7);
   int batch = 0;
   for (auto& [graph_label, graph] : corpus_graphs()) {
     Graph g = graph;
@@ -432,9 +406,6 @@ Outcome content_corpus(const std::vector<ContentLane>& lanes,
       const std::string stream = "corpus:" + graph_label + "/" + proof_label;
       const RunResult want = sweep_sequential(g, p, a);
       for (const ContentLane& lane : lanes) {
-        maybe_toggle(lane.toggle,
-                     dynamic_cast<IncrementalEngine*>(lane.engine),
-                     toggle_rng);
         for (int rep = 0; rep < 2; ++rep) {
           const Where at{lane.name, entry.name, stream, batch + rep};
           if (auto m = check(at, lane.engine->run(g, p, a), want, nullptr)) {
@@ -467,7 +438,6 @@ struct Tally {
   int repaired = 0;  // batches a maintainer repaired
   std::uint64_t skipped = 0;     // dirty balls a sampled tier left alone
   std::uint64_t delta_runs = 0;  // incremental or sharded delta-path runs
-  std::uint64_t patched = 0;     // balls patched in place
   std::uint64_t pooled = 0;      // re-verification rounds on the pool
 
   Tally& operator+=(const Tally& o) {
@@ -478,7 +448,6 @@ struct Tally {
     repaired += o.repaired;
     skipped += o.skipped;
     delta_runs += o.delta_runs;
-    patched += o.patched;
     pooled += o.pooled;
     return *this;
   }
@@ -517,7 +486,6 @@ Outcome drive_sessions(const std::vector<EngineConfig>& configs,
 
   OracleStream stream(seed);
   const std::string stream_name = stream.name();
-  std::mt19937 toggle_rng(seed);
   for (int b = 0; b < kStreamBatches; ++b) {
     const VerificationSession& lead = lanes[0]->session;
     const MutationBatch batch = stream.next(b, lead.graph(), lead.proof());
@@ -540,7 +508,6 @@ Outcome drive_sessions(const std::vector<EngineConfig>& configs,
       VerificationSession& session = lanes[k]->session;
       const EngineConfig& config = *lanes[k]->config;
       const Where at{config.name, entry.name, stream_name, b};
-      maybe_toggle(config.toggle, session.incremental_engine(), toggle_rng);
       // An audit makes a sampled lane's verdict exact.
       const bool audited = config.sampled && b % 4 == 3;
       if (audited) session.spot_check_engine()->request_audit();
@@ -600,7 +567,6 @@ Outcome drive_sessions(const std::vector<EngineConfig>& configs,
     Tally& t = *lane_tally[k];
     if (const IncrementalEngine* engine = session.incremental_engine()) {
       t.delta_runs += engine->stats().incremental_runs;
-      t.patched += engine->stats().views_patched;
       t.pooled += engine->stats().sharded_rounds;
     } else if (const auto* engine =
                    dynamic_cast<const ShardedEngine*>(&session.engine())) {
@@ -651,7 +617,7 @@ TEST(EngineOracle, ContentPath) {
     std::vector<ContentLane> lanes;
     for (const EngineConfig& config : configs) {
       engines.push_back(config.make());
-      lanes.push_back({config.name, engines.back().get(), config.toggle});
+      lanes.push_back({config.name, engines.back().get()});
     }
     return content_corpus(lanes, schemes[i]);
   }));
@@ -675,8 +641,8 @@ TEST(EngineOracle, ExhaustiveSearch) {
       {"cycle4", gen::cycle(4)},
       {"cycle5", gen::cycle(5)},
       {"grid2x3", gen::grid(2, 3)}};
-  // Uncached, every run of this engine is the reference sweep.
-  DirectEngine reference({.cache_views = false});
+  // Every run of this engine is the reference sweep.
+  DirectEngine reference;
   std::vector<bool> want;
   for (const auto& [label, g] : graphs) {
     want.push_back(exists_accepted_proof(g, two_colouring, 1, reference));
@@ -725,10 +691,7 @@ std::vector<Tally> drive_all_sessions(const std::vector<EngineConfig>& configs,
         config.spec.rfind("sharded", 0) == 0) {
       EXPECT_GT(sum[i].delta_runs, 0u) << config.name;
     }
-    if (config.spec == "incremental" && config.incremental.patch_views) {
-      EXPECT_GT(sum[i].patched, 0u) << config.name;
-    }
-    if (config.incremental.shard_threads > 0 || config.toggle) {
+    if (config.incremental.shard_threads > 0) {
       EXPECT_GT(sum[i].pooled, 0u) << config.name;
     }
   }
@@ -822,7 +785,7 @@ TEST(EngineOracle, CanaryIsCaughtAtItsBatch) {
     CanaryEngine canary(victim.make(), mode, at);
     const std::string name = "canary(" + victim.name + ")";
     // With one lane, corpus batch i is the engine's run i.
-    const Outcome caught = content_corpus({{name, &canary, false}}, bipartite);
+    const Outcome caught = content_corpus({{name, &canary}}, bipartite);
     ASSERT_GE(canary.corrupted_run(), at) << name << " never struck";
     ASSERT_TRUE(caught.has_value()) << name << " went unnoticed";
     EXPECT_EQ(caught->batch, canary.corrupted_run()) << caught->message;

@@ -45,20 +45,12 @@ TEST(Journal, KindNamesAreStableSnakeCase) {
   EXPECT_STREQ(journal_kind_name(JournalEventKind::kRepairDeclined),
                "repair_declined");
   EXPECT_STREQ(journal_kind_name(JournalEventKind::kReprove), "reprove");
-  EXPECT_STREQ(journal_kind_name(JournalEventKind::kPatchFallback),
-               "patch_fallback");
   EXPECT_STREQ(journal_kind_name(JournalEventKind::kHaloExchange),
                "halo_exchange");
   EXPECT_STREQ(journal_kind_name(JournalEventKind::kLaneDispatch),
                "lane_dispatch");
   EXPECT_STREQ(journal_kind_name(JournalEventKind::kTransportSend),
                "transport_send");
-  EXPECT_STREQ(journal_kind_name(JournalEventKind::kStoreAdopt),
-               "store_adopt");
-  EXPECT_STREQ(journal_kind_name(JournalEventKind::kStorePublish),
-               "store_publish");
-  EXPECT_STREQ(journal_kind_name(JournalEventKind::kCacheOverflow),
-               "cache_overflow");
   EXPECT_STREQ(journal_kind_name(JournalEventKind::kVerdictFlip),
                "verdict_flip");
   EXPECT_STREQ(journal_kind_name(JournalEventKind::kSpotSample),
@@ -96,7 +88,8 @@ TEST(Journal, JsonlOneObjectPerLineWithSchemaFields) {
   Journal journal;
   journal.emit(JournalEventKind::kLaneDispatch, "engine.parallel",
                {{"lanes", 4}, {"nodes", 100}});
-  journal.emit(JournalEventKind::kStoreAdopt, "store.ball", {{"radius", 2}});
+  journal.emit(JournalEventKind::kHaloExchange, "engine.sharded",
+               {{"radius", 2}});
   const std::string jsonl = journal.to_jsonl();
   // Two lines, each a JSON object carrying the schema fields the CI
   // checker (tools/check_telemetry.py) validates.

@@ -17,7 +17,8 @@ namespace {
 
 TEST(Anonymize, RanksReplaceIdsButPortsSurvive) {
   const Graph g = gen::shuffle_ids(gen::cycle(7), 5);
-  const View view = extract_view(g, Proof::empty(7), 3, 2);
+  const Proof empty = Proof::empty(7);
+  const View view = extract_view(g, empty, 3, 2);
   const View anon = anonymize_view(view);
   ASSERT_EQ(anon.ball.n(), view.ball.n());
   // Ids are 1..k.

@@ -211,7 +211,7 @@ TEST(SchemeCompose, ConjunctionMatchesComponentAndAcrossEngines) {
   SchemeRegistry& reg = builtin_registry();
   const std::vector<std::string> names = reg.names();
   std::mt19937 rng(20260730);
-  DirectEngine direct({/*cache_views=*/false});
+  DirectEngine direct;
 
   int yes_instances = 0;
   for (int round = 0; round < 14; ++round) {
@@ -255,7 +255,7 @@ TEST(SchemeCompose, ConjunctionMatchesComponentAndAcrossEngines) {
 TEST(SchemeCompose, TripleConjunctionStaysFirstClass) {
   SchemeRegistry& reg = builtin_registry();
   const auto conj = reg.build("bipartite & acyclic & even-n");
-  DirectEngine direct({/*cache_views=*/false});
+  DirectEngine direct;
   for (std::uint32_t seed = 1; seed <= 4; ++seed) {
     const Graph g = gen::random_tree(11 + static_cast<int>(seed), seed);
     const bool expected = conj->holds(g);
@@ -267,7 +267,7 @@ TEST(SchemeCompose, TripleConjunctionStaysFirstClass) {
 
 TEST(SchemeCompose, TamperedConjunctionProofsAreRejected) {
   SchemeRegistry& reg = builtin_registry();
-  DirectEngine direct({/*cache_views=*/false});
+  DirectEngine direct;
   std::mt19937 rng(99);
   for (const char* expr :
        {"bipartite & acyclic", "leader-election & maximal-matching"}) {
@@ -308,7 +308,7 @@ TEST(SchemeCompose, TamperedConjunctionProofsAreRejected) {
 
 TEST(SchemeCompose, RadiusPadVerdictsBitIdenticalToBase) {
   SchemeRegistry& reg = builtin_registry();
-  DirectEngine direct({/*cache_views=*/false});
+  DirectEngine direct;
   std::mt19937 rng(1234);
   for (const char* name : {"bipartite", "acyclic", "leader-election"}) {
     const auto base = reg.make(name);
@@ -342,7 +342,7 @@ TEST(SchemeCompose, RelabelMatchesDirectRelabelling) {
   const auto adapted = relabel(*base, [](std::uint64_t label) {
     return label == 7 ? schemes::kLeaderFlag : 0;
   });
-  DirectEngine direct({/*cache_views=*/false});
+  DirectEngine direct;
   for (std::uint32_t seed = 1; seed <= 4; ++seed) {
     Graph g = gen::random_connected(14, 0.15, seed);
     g.set_label(3, 7);
@@ -407,7 +407,7 @@ TEST(SchemeCompose, ConjunctionSessionTracksComponentAndUnderChurn) {
   ASSERT_TRUE(session.maintainer_bound());
   ASSERT_TRUE(session.verify().all_accept);
 
-  DirectEngine fresh({/*cache_views=*/false});
+  DirectEngine fresh;
   std::mt19937 rng(4242);
   for (int step = 0; step < 120; ++step) {
     const Graph& g = session.graph();

@@ -64,7 +64,7 @@ TEST(ShardedTracker, InteriorChurnWakesOneShard) {
   options.shards = 4;
   ShardedEngine engine(options);
   engine.attach_tracker(&tracker);
-  DirectEngine reference({/*cache_views=*/false});
+  DirectEngine reference;
 
   ASSERT_TRUE(engine.run(g, p, scheme->verifier()).all_accept);
   const std::uint64_t records_before = engine.transport().stats().records;
@@ -98,7 +98,7 @@ TEST(ShardedTracker, BoundaryChurnRebuildsHalosAndMatches) {
   options.shards = 4;
   ShardedEngine engine(options);
   engine.attach_tracker(&tracker);
-  DirectEngine reference({/*cache_views=*/false});
+  DirectEngine reference;
 
   ASSERT_TRUE(engine.run(g, p, scheme->verifier()).all_accept);
 
@@ -166,20 +166,20 @@ TEST(ShardedSession, ComposesWithMaintainers) {
   EXPECT_TRUE(session.verify().all_accept);
 }
 
-TEST(ShardedEngine, OverflowFallsBackToPlainSweeps) {
-  // A tiny ball budget forces the overflow path; verdicts must not change.
+TEST(ShardedEngine, DenseBallsMatchReference) {
+  // Every ball of a complete bipartite graph is the whole graph, so each
+  // shard's halo is everything; verdicts must not change across runs.
   const auto scheme = builtin_registry().build("bipartite");
   const Graph g = gen::complete_bipartite(6, 6);
   const Proof p = *scheme->prove(g);
   ShardedEngineOptions options;
   options.shards = 3;
-  options.max_cached_ball_nodes = 8;
-  ShardedEngine tiny(options);
-  DirectEngine reference({/*cache_views=*/false});
+  ShardedEngine dense(options);
+  DirectEngine reference;
   for (int round = 0; round < 3; ++round) {
     expect_equal(reference.run(g, p, scheme->verifier()),
-                 tiny.run(g, p, scheme->verifier()),
-                 "overflow-round-" + std::to_string(round));
+                 dense.run(g, p, scheme->verifier()),
+                 "dense-round-" + std::to_string(round));
   }
 }
 

@@ -212,22 +212,22 @@ TEST(SpotCheckDeterminism, LastDirtyCentersIsSortedAndModeIndependent) {
       EXPECT_TRUE(engine.attach_tracker(tracker.get()));
     }
   };
-  IncLane patched(start, {.patch_views = true});
-  IncLane reextract(start, {.patch_views = false});
+  IncLane serial(start, {.shard_threads = 0});
+  IncLane pooled(start, {.shard_threads = 3, .shard_min_centers = 0});
 
   std::mt19937 rng(321);
   std::size_t nonempty = 0;
   for (int step = 0; step < 60; ++step) {
     MutationBatch batch;
-    schedule_step(rng, patched.graph, &batch);
+    schedule_step(rng, serial.graph, &batch);
     if (batch.empty()) continue;
-    patched.tracker->apply(batch);
-    reextract.tracker->apply(batch);
-    patched.engine.run(patched.graph, patched.proof, *verifier);
-    reextract.engine.run(reextract.graph, reextract.proof, *verifier);
+    serial.tracker->apply(batch);
+    pooled.tracker->apply(batch);
+    serial.engine.run(serial.graph, serial.proof, *verifier);
+    pooled.engine.run(pooled.graph, pooled.proof, *verifier);
 
-    const std::vector<int>& a = patched.engine.last_dirty_centers();
-    const std::vector<int>& b = reextract.engine.last_dirty_centers();
+    const std::vector<int>& a = serial.engine.last_dirty_centers();
+    const std::vector<int>& b = pooled.engine.last_dirty_centers();
     ASSERT_EQ(a, b) << "step " << step;
     for (std::size_t i = 1; i < a.size(); ++i) {
       ASSERT_LT(a[i - 1], a[i]) << "step " << step;
@@ -235,8 +235,8 @@ TEST(SpotCheckDeterminism, LastDirtyCentersIsSortedAndModeIndependent) {
     if (!a.empty()) ++nonempty;
   }
   EXPECT_GT(nonempty, 30u);
-  patched.engine.attach_tracker(nullptr);
-  reextract.engine.attach_tracker(nullptr);
+  serial.engine.attach_tracker(nullptr);
+  pooled.engine.attach_tracker(nullptr);
 }
 
 }  // namespace

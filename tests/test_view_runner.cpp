@@ -18,7 +18,8 @@ TEST(View, BallIsInducedSubgraph) {
   // C8 with a chord inside the ball: the chord must be present (induced).
   Graph g = gen::cycle(8);
   g.add_edge(1, 3);
-  const View v = extract_view(g, Proof::empty(g.n()), 2, 1);
+  const Proof empty = Proof::empty(g.n());
+  const View v = extract_view(g, empty, 2, 1);
   // Ball of node 2 radius 1: nodes {2, 1, 3}; induced includes chord 1-3.
   EXPECT_EQ(v.ball.n(), 3);
   const int i1 = *v.ball.index_of(g.id(1));
@@ -28,7 +29,8 @@ TEST(View, BallIsInducedSubgraph) {
 
 TEST(View, DistancesFromCenter) {
   const Graph g = gen::path(9);
-  const View v = extract_view(g, Proof::empty(g.n()), 4, 3);
+  const Proof empty = Proof::empty(g.n());
+  const View v = extract_view(g, empty, 4, 3);
   EXPECT_EQ(v.ball.n(), 7);
   EXPECT_EQ(v.dist_of(v.center), 0);
   int at_three = 0;
@@ -72,8 +74,9 @@ TEST(View, BallNodesReportsDistances) {
 
 TEST(View, SeesWholeComponent) {
   const Graph g = gen::cycle(6);
-  EXPECT_FALSE(extract_view(g, Proof::empty(6), 0, 2).sees_whole_component());
-  EXPECT_TRUE(extract_view(g, Proof::empty(6), 0, 4).sees_whole_component());
+  const Proof empty = Proof::empty(6);
+  EXPECT_FALSE(extract_view(g, empty, 0, 2).sees_whole_component());
+  EXPECT_TRUE(extract_view(g, empty, 0, 4).sees_whole_component());
 }
 
 TEST(Runner, AllAcceptAndRejectingList) {

@@ -18,7 +18,7 @@ Checks, against the naming convention in src/obs/metrics.hpp
   * every metric name is well-formed (lower-case, >= 2 dot-separated
     segments);
   * every layer a full session wires up is present: session.*, engine.*,
-    store.*, pool.*, maintainer.*;
+    pool.*, maintainer.*;
   * a handful of load-bearing metrics exist by exact name;
   * histogram entries carry ordered percentiles (p50 <= p90 <= p99 <= max);
   * the Chrome trace parses, events are complete ("ph" == "X") with
@@ -47,7 +47,7 @@ import sys
 
 NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
 
-REQUIRED_LAYERS = ["session", "engine", "store", "pool", "maintainer"]
+REQUIRED_LAYERS = ["session", "engine", "pool", "maintainer"]
 
 REQUIRED_METRICS = [
     "session.apply.latency",
@@ -57,8 +57,7 @@ REQUIRED_METRICS = [
     "session.repaired",
     "engine.incremental.full_sweeps",
     "engine.incremental.nodes_reverified",
-    "store.ball.hit_rate",
-    "store.ball.entries",
+    "engine.incremental.reextractions",
     "pool.incremental.lanes",
     "pool.incremental.dispatches",
 ]
@@ -90,13 +89,9 @@ JOURNAL_KINDS = {
     "repair_emitted",
     "repair_declined",
     "reprove",
-    "patch_fallback",
     "halo_exchange",
     "lane_dispatch",
     "transport_send",
-    "store_adopt",
-    "store_publish",
-    "cache_overflow",
     "verdict_flip",
     "spot_sample",
     "spot_escalate",
